@@ -117,7 +117,7 @@ def main(argv=None):
         cgra = make_cgra(f"HOM{depth}", cm_depths=[depth] * 16)
         area = model.cgra_total(cgra)
         print(f"{name:14s} {depth:7d} "
-              f"{max(point.mapping.tile_words()):10d} "
+              f"{max(point.tile_words):10d} "
               f"{area:10.3f} {area / baseline:8.1%}")
     print("\nSmaller context memories -> smaller, lower-leakage array;")
     print("this sweep is the sizing step the paper's flow enables.")

@@ -229,8 +229,8 @@ def maybe_corrupt_cache_entry(path, key):
     """Cache-read hook: garble the entry at ``path`` before the read.
 
     Returns True when it corrupted the file, so the harness can log
-    it; the cache itself notices nothing special — it just finds a
-    payload that no longer unpickles, which is the path under test.
+    it; the cache itself notices nothing special — it just finds an
+    entry that no longer decodes, which is the path under test.
     """
     plan = active_plan()
     if plan is None or not plan.should("cache_corrupt", key):

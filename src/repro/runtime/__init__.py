@@ -16,7 +16,8 @@ turns that unit into a first-class, batchable job:
   (an :class:`~repro.errors.UnmappableError` in one point never kills
   the sweep); ``workers=1`` is a plain serial loop.
 - :mod:`repro.runtime.cache` — :class:`ResultCache` persists computed
-  points under ``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``)
+  points as their JSON documents (:func:`point_to_json`) under
+  ``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``)
   keyed by a content hash of everything that determines the result,
   with atomic writes so an interrupted run never corrupts the cache,
   plus management: size accounting, ``stats()`` and LRU-by-mtime
@@ -77,8 +78,6 @@ from repro.runtime.shard import (
     merge_sweep_files,
     merge_sweep_payloads,
     parse_shard,
-    point_from_json,
-    point_to_json,
     shard_indices,
     shard_specs,
     spec_from_json,
@@ -94,6 +93,8 @@ from repro.runtime.sweep import (
     PointSpec,
     SweepResult,
     compute_point,
+    point_from_json,
+    point_to_json,
     sweep_specs,
     validated_sweep_specs,
 )

@@ -183,7 +183,10 @@ def _finish(spec, kernel, cgra, mapping, seconds, run):
                            spec.variant, mapping=mapping,
                            compile_seconds=seconds, cycles=run.cycles,
                            activity=run.activity, energy=energy,
-                           output_digest=output_digest(kernel, run))
+                           output_digest=output_digest(kernel, run),
+                           movs=mapping.total_movs,
+                           pnops=mapping.total_pnops,
+                           tile_words=mapping.tile_words())
 
 
 def _memory_for(kernel, spec):

@@ -15,11 +15,19 @@ release that alters the energy model — and the key changes, so stale
 payloads are never returned; they are merely orphaned until the next
 ``clear()``.
 
-Writes are atomic: payloads are pickled to a temporary file in the
+Each entry is one point's JSON document
+(:func:`~repro.runtime.sweep.point_to_json` — the same document shard
+files and serve payloads carry), so loading a shared cache directory
+never executes code.  A cached point is therefore a *summary*: it
+carries cycles, energy, outcome, output digest and the mapping's
+MOV/PNOP/context-word counts, but not the mapping graph or the
+activity counters.
+
+Writes are atomic: documents are written to a temporary file in the
 cache directory and ``os.replace``-d into place, so a reader never
 observes a partially written entry and an interrupted run leaves at
-worst an ignored ``*.tmp*`` file behind.  Unreadable or truncated
-entries are treated as misses and deleted.
+worst an ignored ``*.tmp*`` file behind.  Unreadable, truncated or
+wrong-shape entries are treated as misses and deleted.
 
 The cache directory defaults to ``~/.cache/repro`` and is overridden
 with the ``REPRO_CACHE_DIR`` environment variable.
@@ -41,12 +49,13 @@ import hashlib
 import json
 import os
 import pathlib
-import pickle
+import re
 import tempfile
 
 import repro
 from repro.chaos import maybe_corrupt_cache_entry
 from repro.obs import get_logger, metrics as _metrics
+from repro.runtime.sweep import point_from_json, point_to_json
 
 _log = get_logger("repro.runtime.cache")
 
@@ -67,14 +76,23 @@ ENV_CACHE_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 #: by other formats are recognisably *orphaned* — never read, never
 #: crashed on, reported by ``stats()`` and reclaimed by ``clear()``
 #: or LRU eviction.
-CACHE_FORMAT = 4
+#: Format 5: entries are point JSON documents (``f5-<key>.json``)
+#: instead of pickles; ``*.pkl`` entries of earlier formats are
+#: orphaned and never read.
+CACHE_FORMAT = 5
 
-_SUFFIX = ".pkl"
+_SUFFIX = ".json"
 
 #: Filename prefix of entries written by *this* format.  Pre-format-4
 #: entries were bare ``<hash>.pkl``; any entry without the current
 #: prefix is orphaned by definition.
 _FORMAT_PREFIX = f"f{CACHE_FORMAT}-"
+
+#: Names of complete entries of any format: pickles of formats 1-4
+#: (bare or ``f4-`` prefixed) and JSON documents from format 5 on.
+#: Anything else in the directory (temp files, the JSONL ledger and
+#: job journal, unrelated files) is not an entry.
+_ENTRY_NAME = re.compile(r"(?:f\d+-)?[0-9a-f]{64}\.(?:pkl|json)")
 
 _BYTE_SUFFIXES = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
 
@@ -161,7 +179,7 @@ def point_key(spec, version=None):
 
 
 class ResultCache:
-    """Directory of pickled experiment points, one file per key.
+    """Directory of experiment-point JSON documents, one file per key.
 
     Tracks ``hits`` / ``misses`` / ``stores`` / ``evictions`` for the
     session so callers can assert "a warm run re-mapped zero points".
@@ -195,11 +213,12 @@ class ResultCache:
         return self.directory / f"{_FORMAT_PREFIX}{key}{_SUFFIX}"
 
     def get(self, key):
-        """The cached payload for ``key``, or None on a miss.
+        """The cached :class:`~repro.runtime.sweep.ExperimentPoint`
+        for ``key``, or None on a miss.
 
-        A corrupt or truncated entry (e.g. the machine died mid-write
-        of a non-atomic filesystem, or a payload pickled by an
-        incompatible interpreter) counts as a miss and is removed.
+        A corrupt, truncated or wrong-shape entry (e.g. the machine
+        died mid-write of a non-atomic filesystem, or a foreign file
+        under the entry's name) counts as a miss and is removed.
         """
         path = self.path_for(key)
         if path.exists():
@@ -209,19 +228,19 @@ class ResultCache:
             maybe_corrupt_cache_entry(path, key)
         try:
             with open(path, "rb") as handle:
-                payload = pickle.load(handle)
+                point = point_from_json(json.loads(handle.read()))
         except FileNotFoundError:
             self.misses += 1
             _metrics.CACHE_MISSES.inc()
             return None
-        except Exception as error:
-            # pickle.load on a corrupt payload can raise nearly
-            # anything (UnpicklingError, EOFError, KeyError, ValueError,
-            # struct.error, ...); any failure to read is a miss and the
-            # entry is dropped so it cannot crash the next run either.
-            # Loud, though: disk-level corruption is an operator
-            # problem, not a cache miss, so it gets its own counter
-            # and a structured warning.
+        except (OSError, ValueError, RecursionError, KeyError,
+                TypeError, AttributeError) as error:
+            # Unreadable, undecodable, nested past the recursion limit
+            # or of the wrong shape (a list, a dict without "kernel"):
+            # a miss, and the entry is dropped so it cannot fail the
+            # next run either.  Loud, though: disk-level corruption is
+            # an operator problem, not a cache miss, so it gets its own
+            # counter and a structured warning.
             self._discard(path)
             self.misses += 1
             _metrics.CACHE_MISSES.inc()
@@ -233,18 +252,20 @@ class ResultCache:
         self.hits += 1
         _metrics.CACHE_HITS.inc()
         self._touch(path)
-        return payload
+        return point
 
     def put(self, key, payload):
-        """Atomically persist ``payload`` under ``key``."""
+        """Atomically persist the point ``payload`` under ``key``;
+        returns the entry's path."""
+        document = json.dumps(point_to_json(payload),
+                              separators=(",", ":"))
         self.directory.mkdir(parents=True, exist_ok=True)
         final = self.path_for(key)
         descriptor, temp_name = tempfile.mkstemp(
             dir=self.directory, prefix=f"{key}{_SUFFIX}.tmp")
         try:
-            with os.fdopen(descriptor, "wb") as handle:
-                pickle.dump(payload, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                handle.write(document)
             os.replace(temp_name, final)
         except BaseException:
             self._discard(pathlib.Path(temp_name))
@@ -271,8 +292,8 @@ class ResultCache:
     def has_point(self, spec):
         """Whether a completed entry exists for ``spec``.
 
-        A bare existence check (one ``stat``, no unpickling, no
-        hit/miss accounting) — cheap enough to probe thousands of
+        A bare existence check (one ``stat``, no read, no hit/miss
+        accounting) — cheap enough to probe thousands of
         specs, which is what cache-aware shard balancing does.
         """
         return self.path_for(point_key(spec)).exists()
@@ -290,16 +311,16 @@ class ResultCache:
         """Paths of all complete cache entries (ignores temp files).
 
         Includes *orphaned* entries — files written under an earlier
-        :data:`CACHE_FORMAT` (recognisable by their filename prefix).
-        They are never read back (``path_for`` only names
-        current-format files) but they still occupy bytes, so size
-        accounting, LRU eviction and ``clear()`` all see them.
+        :data:`CACHE_FORMAT` (recognisable by their filename prefix,
+        and the ``.pkl`` suffix before format 5).  They are never
+        read back (``path_for`` only names current-format files) but
+        they still occupy bytes, so size accounting, LRU eviction and
+        ``clear()`` all see them.
         """
         if not self.directory.is_dir():
             return []
         return sorted(path for path in self.directory.iterdir()
-                      if path.suffix == _SUFFIX
-                      and ".tmp" not in path.name)
+                      if _ENTRY_NAME.fullmatch(path.name))
 
     @staticmethod
     def is_orphaned(path):
@@ -414,7 +435,7 @@ class ResultCache:
         if not self.directory.is_dir():
             return removed
         for path in self.directory.iterdir():
-            if path.suffix == _SUFFIX or ".tmp" in path.name:
+            if _ENTRY_NAME.fullmatch(path.name) or ".tmp" in path.name:
                 self._discard(path)
                 removed += 1
         return removed

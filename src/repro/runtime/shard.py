@@ -32,8 +32,8 @@ full spec list; the merge validates that the shard files cover every
 position exactly once before rebuilding the sweep, so a missing or
 duplicated shard is a hard error rather than a silently short result.
 Rebuilt points are *summaries*: deterministic fields (cycles, energy,
-error class, compile seconds) round-trip exactly, the heavy mapping
-and activity objects do not.
+error class, compile seconds, mapping-quality counts) round-trip
+exactly, the heavy mapping and activity objects do not.
 """
 
 from __future__ import annotations
@@ -44,21 +44,26 @@ import json
 
 from repro.errors import ReproError
 from repro.mapping.flow import FlowOptions
-from repro.power.energy import EnergyBreakdown
 from repro.runtime.cache import point_key, spec_payload
-from repro.runtime.sweep import ExperimentPoint, PointSpec, SweepResult
+from repro.runtime.sweep import (
+    PointSpec,
+    SweepResult,
+    point_from_json,
+    point_to_json,
+)
 
 #: Bump when the JSON sweep-result payload layout changes.
 #: Schema 2: spec dicts carry ``rows``/``cols`` (array-shape scaling).
 #: Schema 3: spec dicts carry ``backend`` (execution backend axis);
 #: point dicts carry ``output_digest`` (cross-backend comparison
-#: token).
+#: token).  Point dicts later gained ``movs``/``pnops``/``tile_words``
+#: without a bump: readers default absent fields to None.
 SWEEP_JSON_SCHEMA = 3
 
 #: Cost multiplier for already-cached specs under cache-aware
-#: balancing: near zero (a hit is one unpickle), but not exactly zero
-#: so warm specs still spread across shards instead of all landing on
-#: whichever shard the greedy heap happens to favour.
+#: balancing: near zero (a hit is one small JSON read), but not
+#: exactly zero so warm specs still spread across shards instead of
+#: all landing on whichever shard the greedy heap happens to favour.
 CACHED_COST_SCALE = 1e-6
 
 #: Relative compile-cost weight per flow variant (Fig 9's shape: the
@@ -215,36 +220,6 @@ def spec_from_json(data):
         rows=data.get("rows"), cols=data.get("cols"),
         backend=data.get("backend", DEFAULT_BACKEND),
     ).resolve()
-
-
-def point_to_json(point):
-    """Deterministic summary fields of one experiment point."""
-    return {
-        "kernel": point.kernel_name,
-        "config": point.config_name,
-        "variant": point.variant,
-        "mapped": point.mapped,
-        "cycles": point.cycles,
-        "compile_seconds": point.compile_seconds,
-        "energy_uj": point.energy_uj,
-        "energy_parts_pj": (dict(point.energy.parts)
-                            if point.energy is not None else None),
-        "error": point.error,
-        "output_digest": point.output_digest,
-    }
-
-
-def point_from_json(data):
-    """Rebuild a summary :class:`ExperimentPoint` (no mapping object)."""
-    parts = data.get("energy_parts_pj")
-    return ExperimentPoint(
-        data["kernel"], data["config"], data["variant"],
-        compile_seconds=data.get("compile_seconds"),
-        cycles=data.get("cycles"),
-        energy=EnergyBreakdown(parts) if parts is not None else None,
-        error=data.get("error"),
-        mapped=data.get("mapped"),
-        output_digest=data.get("output_digest"))
 
 
 def sweep_json_payload(result, shard=None, positions=None,

@@ -494,8 +494,7 @@ def stream_specs(specs, workers=1, cache=None, progress=None,
         # misses start computing immediately (the supervisor and its
         # executor are created lazily at the first miss), so on a
         # mixed warm/cold sweep the workers churn through cold points
-        # while the remaining warm payloads are still being
-        # unpickled.
+        # while the remaining warm entries are still being read.
         for spec in unique:
             cached = (cache.get_point(spec) if cache is not None
                       else None)

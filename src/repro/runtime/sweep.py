@@ -36,6 +36,7 @@ from repro.arch.configs import (
 from repro.errors import ReproError
 from repro.kernels import PAPER_KERNEL_ORDER
 from repro.mapping.flow import VARIANTS, FlowOptions
+from repro.power.energy import EnergyBreakdown
 from repro.runtime.backends import DEFAULT_BACKEND, get_backend
 
 #: Default input seed for all experiment executions.
@@ -49,15 +50,19 @@ class ExperimentPoint:
     """One (kernel, config, flow-variant) measurement.
 
     ``mapped`` is normally derived from the presence of the heavy
-    ``mapping`` object; summary points rebuilt from a JSON shard file
-    (:mod:`repro.runtime.shard`) carry the flag explicitly because
-    the mapping itself does not survive serialisation.
+    ``mapping`` object; summary points rebuilt from a point document
+    (:func:`point_from_json` — cache entries, shard files, serve
+    payloads) carry the flag explicitly because the mapping itself
+    does not survive serialisation.  What readers need of it does:
+    ``movs``, ``pnops`` and ``tile_words`` summarise the mapping's
+    quality and are set on every executed point.
     """
 
     def __init__(self, kernel_name, config_name, variant, mapping=None,
                  compile_seconds=None, cycles=None, activity=None,
                  energy=None, error=None, mapped=None,
-                 output_digest=None):
+                 output_digest=None, movs=None, pnops=None,
+                 tile_words=None):
         self.kernel_name = kernel_name
         self.config_name = config_name
         self.variant = variant
@@ -72,6 +77,11 @@ class ExperimentPoint:
         #: ``repro diff`` compares across backends (None when the
         #: point never executed)
         self.output_digest = output_digest
+        #: routing MOVs, padding NOPs and context words per tile of
+        #: the executed mapping (None when the point never executed)
+        self.movs = movs
+        self.pnops = pnops
+        self.tile_words = tile_words
 
     @property
     def mapped(self):
@@ -87,6 +97,45 @@ class ExperimentPoint:
         status = f"{self.cycles} cycles" if self.mapped else "no mapping"
         return (f"ExperimentPoint({self.kernel_name}@{self.config_name}"
                 f"/{self.variant}: {status})")
+
+
+def point_to_json(point):
+    """Deterministic summary fields of one experiment point.
+
+    The one point document: cache entries, shard files and serve
+    payloads all carry it.
+    """
+    return {
+        "kernel": point.kernel_name,
+        "config": point.config_name,
+        "variant": point.variant,
+        "mapped": point.mapped,
+        "cycles": point.cycles,
+        "compile_seconds": point.compile_seconds,
+        "energy_uj": point.energy_uj,
+        "energy_parts_pj": (dict(point.energy.parts)
+                            if point.energy is not None else None),
+        "error": point.error,
+        "output_digest": point.output_digest,
+        "movs": point.movs,
+        "pnops": point.pnops,
+        "tile_words": point.tile_words,
+    }
+
+
+def point_from_json(data):
+    """Rebuild a summary :class:`ExperimentPoint` (no mapping object)."""
+    parts = data.get("energy_parts_pj")
+    return ExperimentPoint(
+        data["kernel"], data["config"], data["variant"],
+        compile_seconds=data.get("compile_seconds"),
+        cycles=data.get("cycles"),
+        energy=EnergyBreakdown(parts) if parts is not None else None,
+        error=data.get("error"),
+        mapped=data.get("mapped"),
+        output_digest=data.get("output_digest"),
+        movs=data.get("movs"), pnops=data.get("pnops"),
+        tile_words=data.get("tile_words"))
 
 
 #: Outcomes that are deterministic properties of the spec.  Anything

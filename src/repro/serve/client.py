@@ -104,8 +104,8 @@ def describe_record(record, done, total, origin=""):
     local one; ``origin`` names the server when several stream at
     once.
     """
-    from repro.runtime.shard import point_from_json
     from repro.runtime.stream import point_status
+    from repro.runtime.sweep import point_from_json
 
     spec = record.get("spec", {})
     try:

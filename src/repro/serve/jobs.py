@@ -64,14 +64,17 @@ from repro.obs import get_logger, metrics, trace
 from repro.serve.journal import TERMINAL_EVENTS
 from repro.runtime.shard import (
     parse_shard,
-    point_to_json,
     shard_indices,
     spec_from_json,
     spec_to_json,
     sweep_fingerprint,
     sweep_json_payload,
 )
-from repro.runtime.sweep import SweepResult, validated_sweep_specs
+from repro.runtime.sweep import (
+    SweepResult,
+    point_to_json,
+    validated_sweep_specs,
+)
 
 _log = get_logger("repro.serve.jobs")
 
@@ -876,35 +879,55 @@ class JobManager:
                 finally:
                     self.pool.give_back(grant)
             finally:
-                with self._lock:
-                    self._running.discard(job.id)
+                # Normally a no-op by now; covers a runner torn down
+                # mid-job.
+                self._release(job)
+
+    def _release(self, job):
+        with self._lock:
+            self._running.discard(job.id)
 
     def _execute(self, job, workers):
+        """Run one job, then persist, release and publish its outcome.
+
+        In that order: the journal's ``finished``/``failed`` line is
+        written, the runner lets go of the job, and only then does
+        ``job.finish``/``fail`` wake waiters and serve the payload —
+        so a job a client has collected is never requeued by a
+        resume, and a job that looks done is already evictable.  A
+        job must never kill its runner thread, so any exception is
+        the job's result; a non-terminal exit (BaseException tearing
+        the runner down) records nothing: the journal's last word
+        stays "started", so a resume requeues the job.
+        """
         started = time.perf_counter()
         _log.debug("job started", job_id=job.id,
                   kind=job.request.kind, workers=workers)
         if self.journal is not None and job.journaled:
             self.journal.record("started", job.id)
+        payload = error = None
         try:
             if job.request.kind == "exploration":
-                return self._execute_exploration(job, workers)
-            return self._execute_sweep(job, workers)
-        finally:
-            elapsed = time.perf_counter() - started
-            metrics.JOB_SECONDS.observe(elapsed)
-            metrics.JOBS.inc(status=job.status)
-            if self.journal is not None and job.journaled \
-                    and job.is_terminal:
-                # A non-terminal exit (BaseException tearing the
-                # runner down) records nothing: the journal's last
-                # word stays "started", so a resume requeues the job.
-                self.journal.record(
-                    "failed" if job.status == FAILED else "finished",
-                    job.id, status=job.status, error=job.error)
-            _log.debug("job finished", job_id=job.id,
-                      status=job.status,
-                      elapsed_seconds=round(elapsed, 3),
-                      error=job.error)
+                payload = self._execute_exploration(job, workers)
+            else:
+                payload = self._execute_sweep(job, workers)
+        except Exception as failure:  # noqa: BLE001
+            error = f"{type(failure).__name__}: {failure}"
+        status = DONE if error is None else FAILED
+        elapsed = time.perf_counter() - started
+        metrics.JOB_SECONDS.observe(elapsed)
+        metrics.JOBS.inc(status=status)
+        if self.journal is not None and job.journaled:
+            self.journal.record(
+                "finished" if error is None else "failed",
+                job.id, status=status, error=error)
+        self._release(job)
+        if error is None:
+            job.finish(payload)
+        else:
+            job.fail(error)
+        _log.debug("job finished", job_id=job.id, status=status,
+                  elapsed_seconds=round(elapsed, 3), error=error)
 
     def _attach_trace(self, job, payload):
         """Ship the job's spans home inside its finished payload.
@@ -923,7 +946,7 @@ class JobManager:
                 context.trace_id, drain=True)
 
     def _execute_exploration(self, job, workers):
-        """Run one :mod:`repro.dse` search as a job.
+        """Run one :mod:`repro.dse` search as a job; its payload.
 
         Landed points stream in evaluation order (their ``pos`` is
         the landing index — an exploration has no "full sweep" to
@@ -933,76 +956,68 @@ class JobManager:
         from repro.dse.runner import run_exploration
 
         job.mark_running(workers_granted=workers)
-        try:
-            landed = itertools.count()
+        landed = itertools.count()
 
-            def observe(update):
-                job.add_update(update, [next(landed)])
+        def observe(update):
+            job.add_update(update, [next(landed)])
 
-            # The job span must close before _attach_trace drains the
-            # buffer, or it would miss the shipment and orphan every
-            # child span on the caller's side.
-            with trace.adopt(job.trace_carrier):
-                with trace.span("job", kind="exploration",
-                                job_id=job.id,
-                                label=job.request.label):
-                    result = run_exploration(
-                        job.request.config, workers=workers,
-                        cache=self.cache, progress=observe,
-                        mp_context=self._mp_context)
-            payload = result.payload()
-            self._attach_trace(job, payload)
-            job.finish(payload)
-        except Exception as error:  # noqa: BLE001 — a job must never
-            # kill its runner thread; the failure is the job's result.
-            job.fail(f"{type(error).__name__}: {error}")
+        # The job span must close before _attach_trace drains the
+        # buffer, or it would miss the shipment and orphan every
+        # child span on the caller's side.
+        with trace.adopt(job.trace_carrier):
+            with trace.span("job", kind="exploration", job_id=job.id,
+                            label=job.request.label):
+                result = run_exploration(
+                    job.request.config, workers=workers,
+                    cache=self.cache, progress=observe,
+                    mp_context=self._mp_context)
+        payload = result.payload()
+        self._attach_trace(job, payload)
+        return payload
 
     def _execute_sweep(self, job, workers):
+        """Run one sweep job; its mergeable payload."""
         from repro.runtime.stream import stream_specs
 
         job.mark_running(workers_granted=workers)
         request = job.request
-        try:
-            fanout = {}
-            for local, spec in enumerate(request.specs):
-                fanout.setdefault(spec, []).append(local)
-            landed = {}
+        fanout = {}
+        for local, spec in enumerate(request.specs):
+            fanout.setdefault(spec, []).append(local)
+        landed = {}
 
-            def observe(update):
-                landed[update.spec] = update.point
-                job.add_update(update,
-                               [request.positions[i]
-                                for i in fanout[update.spec]])
+        def observe(update):
+            landed[update.spec] = update.point
+            job.add_update(update,
+                           [request.positions[i]
+                            for i in fanout[update.spec]])
 
-            started = time.perf_counter()
-            # Close the job span before _attach_trace drains the
-            # buffer — a still-open span would miss the shipment and
-            # orphan every child on the caller's side.
-            with trace.adopt(job.trace_carrier):
-                with trace.span("job", kind="sweep", job_id=job.id,
-                                label=request.label,
-                                points=len(request.specs)):
-                    for _ in stream_specs(
-                            request.specs, workers=workers,
-                            cache=self.cache, progress=observe,
-                            mp_context=self._mp_context,
-                            point_timeout=self.point_timeout):
-                        pass
-            result = SweepResult(
-                specs=request.specs,
-                points=[landed[spec] for spec in request.specs],
-                cache_hits=job.cache_hits, computed=job.computed,
-                elapsed_seconds=time.perf_counter() - started)
-            payload = sweep_json_payload(
-                result, shard=request.shard,
-                positions=request.positions,
-                spec_total=request.spec_total,
-                fingerprint=request.fingerprint)
-            self._attach_trace(job, payload)
-            job.finish(payload)
-        except Exception as error:  # noqa: BLE001 — a job must never
-            # kill its runner thread; the failure is the job's result.
-            job.fail(f"{type(error).__name__}: {error}")
+        started = time.perf_counter()
+        # Close the job span before _attach_trace drains the buffer —
+        # a still-open span would miss the shipment and orphan every
+        # child on the caller's side.
+        with trace.adopt(job.trace_carrier):
+            with trace.span("job", kind="sweep", job_id=job.id,
+                            label=request.label,
+                            points=len(request.specs)):
+                for _ in stream_specs(
+                        request.specs, workers=workers,
+                        cache=self.cache, progress=observe,
+                        mp_context=self._mp_context,
+                        point_timeout=self.point_timeout):
+                    pass
+        result = SweepResult(
+            specs=request.specs,
+            points=[landed[spec] for spec in request.specs],
+            cache_hits=job.cache_hits, computed=job.computed,
+            elapsed_seconds=time.perf_counter() - started)
+        payload = sweep_json_payload(
+            result, shard=request.shard,
+            positions=request.positions,
+            spec_total=request.spec_total,
+            fingerprint=request.fingerprint)
+        self._attach_trace(job, payload)
+        return payload
 
     def close(self):
         """Stop the runners; fail whatever never got to run."""

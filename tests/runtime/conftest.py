@@ -9,13 +9,14 @@ def point_fields():
 
     The one definition both equivalence suites compare against —
     serial vs parallel (``test_pool``) and stream vs batch
-    (``test_stream``).  When :class:`ExperimentPoint` grows a
-    deterministic field, adding it here extends every equivalence
-    check at once.
+    (``test_stream``) — and cold vs cached points: it reads only
+    fields a cached point carries too (no mapping graph, no
+    activity).  When :class:`ExperimentPoint` grows a deterministic
+    field, adding it here extends every equivalence check at once.
     """
 
     def _fields(point):
-        fields = {
+        return {
             "kernel": point.kernel_name,
             "config": point.config_name,
             "variant": point.variant,
@@ -25,12 +26,9 @@ def point_fields():
             "energy_uj": point.energy_uj,
             "energy_parts": (dict(point.energy.parts)
                              if point.energy else None),
+            "movs": point.movs,
+            "pnops": point.pnops,
+            "tile_words": point.tile_words,
         }
-        if point.mapping is not None:
-            fields["movs"] = point.mapping.total_movs
-            fields["pnops"] = point.mapping.total_pnops
-            fields["tile_words"] = point.mapping.tile_words()
-            fields["activity_cycles"] = point.activity.cycles
-        return fields
 
     return _fields

@@ -4,6 +4,7 @@ Everything runs against ``tmp_path``-scoped cache directories — the
 suite never touches the user's real ``~/.cache/repro``.
 """
 
+import json
 import os
 import pickle
 
@@ -19,13 +20,25 @@ from repro.runtime.cache import (
     parse_bytes,
     point_key,
 )
-from repro.runtime.sweep import ExperimentPoint, PointSpec
+from repro.obs import metrics
+from repro.runtime.sweep import ExperimentPoint, PointSpec, point_to_json
 
 SPEC = PointSpec("dc_filter", "HOM64", "basic")
 
 
 def make_point(cycles=123):
     return ExperimentPoint("dc_filter", "HOM64", "basic", cycles=cycles)
+
+
+class _Booby:
+    """Unpickling this creates the ``sentinel`` directory: proof that
+    something executed code from a cache file."""
+
+    def __init__(self, sentinel):
+        self.sentinel = str(sentinel)
+
+    def __reduce__(self):
+        return (os.mkdir, (self.sentinel,))
 
 
 class TestPointKey:
@@ -108,13 +121,24 @@ class TestHitMissInvalidate:
         cache = ResultCache(tmp_path)
         point = ExperimentPoint("dc_filter", "HET2", "full",
                                 compile_seconds=1.5, cycles=308,
-                                error=None)
+                                error=None, mapped=True, movs=12,
+                                pnops=3, tile_words=[5, 0, 7, 2])
         cache.store_point(SPEC, point)
         got = cache.get_point(SPEC)
         assert (got.kernel_name, got.config_name, got.variant) \
             == ("dc_filter", "HET2", "full")
         assert got.cycles == 308
         assert got.compile_seconds == 1.5
+        assert (got.movs, got.pnops, got.tile_words) \
+            == (12, 3, [5, 0, 7, 2])
+        assert got.mapping is None and got.activity is None
+
+    def test_entry_is_the_point_json_document(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        point = make_point()
+        path = cache.store_point(SPEC, point)
+        assert path.name == f"f5-{point_key(SPEC)}.json"
+        assert json.loads(path.read_text()) == point_to_json(point)
 
     def test_invalidate(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -147,8 +171,8 @@ class TestAtomicWrites:
         key = point_key(SPEC)
         # Simulate a writer that died mid-write: a temp file exists,
         # the final name does not.
-        partial = tmp_path / f"{key}.pkl.tmp1234"
-        partial.write_bytes(pickle.dumps(make_point())[:10])
+        partial = tmp_path / f"{key}.json.tmp1234"
+        partial.write_text(json.dumps(point_to_json(make_point()))[:10])
         assert cache.get(key) is None
         assert cache.entries() == []
 
@@ -303,39 +327,44 @@ class TestStats:
 
 
 class TestFormatOrphans:
-    """The format-4 bump (backend in the key, ``f4-`` name prefix)
-    must leave a cache written by formats 2/3 usable: old entries are
-    ignored — never loaded, never crashed on — and visibly reported
-    as orphaned bytes so the user knows prune/clear reclaims them.
+    """Format bumps must leave an old cache usable: entries of other
+    formats — bare ``<hash>.pkl`` (formats 2/3) and ``f4-<hash>.pkl``
+    (format 4) — are ignored, never loaded, never crashed on, and
+    visibly reported as orphaned bytes so the user knows prune/clear
+    reclaims them.
     """
 
     def old_format_dir(self, tmp_path, entries=3):
-        """A cache directory as formats 2/3 left it: bare-hash
-        filenames, no format prefix, arbitrary pickle payloads."""
+        """A cache directory as formats 2-4 left it: ``entries``
+        bare-hash pickles plus one ``f4-`` pickle named with SPEC's
+        current key, whose unpickling would create ``executed``."""
         tmp_path.mkdir(exist_ok=True)
         for i in range(entries):
             stale = tmp_path / f"{'%040x' % (i + 1)}{'0' * 24}.pkl"
             stale.write_bytes(pickle.dumps(make_point(cycles=i)))
+        (tmp_path / f"f4-{point_key(SPEC)}.pkl").write_bytes(
+            pickle.dumps(_Booby(tmp_path / "executed")))
         return tmp_path
 
     def test_old_entries_are_ignored_not_crashed_on(self, tmp_path):
         cache = ResultCache(self.old_format_dir(tmp_path))
         # Old-format entries never satisfy a lookup (even though they
-        # hold valid pickles): the key's filename now carries the
-        # format prefix, so the miss recomputes instead of serving a
-        # result keyed without the backend field.
+        # hold valid pickles, one under this very key's hash): only
+        # current-format filenames are ever read.
         assert cache.get_point(SPEC) is None
         assert cache.misses == 1
+        assert not (tmp_path / "executed").exists()
         path = cache.store_point(SPEC, make_point(cycles=777))
-        assert path.name.startswith("f")
+        assert path.name.startswith("f5-")
         assert cache.get_point(SPEC).cycles == 777
+        assert not (tmp_path / "executed").exists()
 
     def test_stats_report_orphaned_bytes(self, tmp_path):
         cache = ResultCache(self.old_format_dir(tmp_path, entries=2))
         cache.store_point(SPEC, make_point())
         stats = cache.stats()
-        assert stats["entries"] == 3
-        assert stats["orphaned_entries"] == 2
+        assert stats["entries"] == 4
+        assert stats["orphaned_entries"] == 3
         assert 0 < stats["orphaned_bytes"] < stats["total_bytes"]
 
     def test_fresh_cache_has_no_orphans(self, tmp_path):
@@ -348,13 +377,26 @@ class TestFormatOrphans:
     def test_clear_reclaims_orphans(self, tmp_path):
         cache = ResultCache(self.old_format_dir(tmp_path, entries=2))
         cache.store_point(SPEC, make_point())
-        assert cache.clear() == 3
+        assert cache.clear() == 4
         assert cache.stats()["orphaned_entries"] == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_prune_to_zero_reclaims_orphans(self, tmp_path):
         cache = ResultCache(self.old_format_dir(tmp_path, entries=2))
-        assert cache.prune(0) == 2
+        assert cache.prune(0) == 3
         assert cache.stats()["entries"] == 0
+
+    def test_non_entry_files_are_not_entries(self, tmp_path):
+        # JSONL stores and unrelated JSON share the directory; they
+        # are neither counted, evicted nor cleared.
+        cache = ResultCache(tmp_path)
+        cache.store_point(SPEC, make_point())
+        for name in ("ledger.jsonl", "jobs.jsonl", "expected.json"):
+            (tmp_path / name).write_text("{}\n")
+        assert cache.stats()["entries"] == 1
+        assert cache.clear() == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["expected.json", "jobs.jsonl", "ledger.jsonl"]
 
 
 class TestCacheDir:
@@ -395,8 +437,6 @@ class TestCorruptEntry:
             "a corrupt entry must not survive to fail the next run"
 
     def test_corrupt_entry_bumps_its_own_counter(self, tmp_path):
-        from repro.obs import metrics
-
         before = metrics.CACHE_CORRUPT.total()
         cache, _ = self.corrupted(tmp_path)
         assert cache.get_point(SPEC) is None
@@ -408,3 +448,31 @@ class TestCorruptEntry:
         cache.store_point(SPEC, make_point(cycles=77))
         healed = cache.get_point(SPEC)
         assert healed is not None and healed.cycles == 77
+
+    def test_planted_pickle_is_never_executed(self, tmp_path):
+        # A shared cache directory is untrusted input: a pickle under
+        # an entry's own name must be a corrupt miss, not code.
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.path_for(point_key(SPEC))
+        path.parent.mkdir()
+        path.write_bytes(pickle.dumps(_Booby(tmp_path / "executed")))
+        before = metrics.CACHE_CORRUPT.total()
+        assert cache.get_point(SPEC) is None
+        assert not (tmp_path / "executed").exists()
+        assert metrics.CACHE_CORRUPT.total() == before + 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("document", [
+        [1, 2, 3],
+        {"config": "HOM64", "variant": "basic", "cycles": 5},
+    ], ids=["list", "no-kernel"])
+    def test_wrong_shape_document_is_a_corrupt_miss(self, tmp_path,
+                                                    document):
+        cache = ResultCache(tmp_path)
+        cache.store_point(SPEC, make_point())
+        path = cache.path_for(point_key(SPEC))
+        path.write_text(json.dumps(document))
+        before = metrics.CACHE_CORRUPT.total()
+        assert cache.get_point(SPEC) is None
+        assert metrics.CACHE_CORRUPT.total() == before + 1
+        assert not path.exists()

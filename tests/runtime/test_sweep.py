@@ -76,6 +76,10 @@ class TestComputePoint:
         assert point.energy_uj > 0
         assert point.compile_seconds > 0
         assert point.mapping.fits
+        assert point.activity.cycles == point.cycles
+        assert point.movs == point.mapping.total_movs
+        assert point.pnops == point.mapping.total_pnops
+        assert point.tile_words == point.mapping.tile_words()
         assert point.error is None
 
     def test_unmappable_point_is_an_error_value(self):

@@ -19,6 +19,7 @@ from repro.serve.jobs import JobManager
 from repro.serve.journal import (
     ENV_JOURNAL,
     JOURNAL_FILENAME,
+    TERMINAL_EVENTS,
     JobJournal,
     journal_path,
     journalling_enabled,
@@ -133,6 +134,37 @@ class TestLifecycleRecording:
             manager.close()
         jobs, _ = journal.replay()
         assert jobs[job.id]["event"] == "failed"
+
+    @pytest.mark.parametrize("outcome", ["finished", "failed"])
+    def test_outcome_is_journaled_before_it_is_published(
+            self, fake_compute, tmp_path, monkeypatch, outcome):
+        # A job is done only once the journal says so: when the
+        # terminal line is written, the runner still holds the job
+        # and no waiter can have seen it end.
+        from repro.runtime import pool
+
+        if outcome == "failed":
+            def explode(spec):
+                raise RuntimeError("kaboom")
+
+            monkeypatch.setattr(pool, "_compute_captured", explode)
+        seen = {}
+
+        class Observed(JobJournal):
+            def record(self, event, job_id, **fields):
+                if event in TERMINAL_EVENTS:
+                    job = manager.jobs[job_id]
+                    seen[event] = {"terminal": job.is_terminal,
+                                   "held": job_id in manager._running}
+                return super().record(event, job_id, **fields)
+
+        manager = JobManager(workers=1, cache=None,
+                             journal=Observed(tmp_path / "jobs.jsonl"))
+        try:
+            finished(manager.submit_request(dict(BODY)))
+        finally:
+            manager.close()
+        assert seen == {outcome: {"terminal": False, "held": True}}
 
 
 class TestResume:
