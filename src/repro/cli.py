@@ -48,12 +48,14 @@ Commands mirror the user journeys of the examples:
 - ``metrics``       — print the Prometheus text exposition of this
   process's metric registry, or scrape a running server's
   ``/metrics`` with ``--server URL``;
-- ``profile``       — cProfile one mapping and print the top
-  functions, so perf work starts from data; ``--flame`` switches to
-  the zero-overhead sampling profiler with collapsed-stack output
-  (``--flame-out``; ``sweep``/``bench`` accept the same flag);
+- ``profile``       — map one case ``--repeat`` times under the
+  sampling profiler (:mod:`repro.obs.flame`) and print the hottest
+  functions, so perf work starts from data; ``--flame-out`` writes
+  the collapsed stacks (``sweep``/``bench`` accept the same flag;
+  a sampled run is never recorded in the ledger or gated);
 - ``history``       — render the persistent run ledger every
-  bench/sweep/diff run appends to (see :mod:`repro.perf.ledger`);
+  unsampled bench/sweep/diff run appends to (see
+  :mod:`repro.perf.ledger`);
 - ``report``        — write the self-contained watchtower dashboard
   HTML (ledger trends, critical path, metrics snapshot; also served
   at ``GET /dashboard``);
@@ -174,7 +176,8 @@ def _parser():
     sweep.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the driving thread during the "
                             "sweep and write collapsed flame stacks "
-                            "to FILE (rate: $REPRO_PROFILE_HZ)")
+                            "to FILE (needs --workers 1 and no "
+                            "--shard; not recorded in the ledger)")
     add_cache_flags(sweep)
     add_quiet(sweep)
 
@@ -355,11 +358,11 @@ def _parser():
                             "the run ledger; exit 3 on regression")
     bench.add_argument("--window", type=int, default=5, metavar="N",
                        help="ledger entries in the rolling median "
-                            "(default 5)")
+                            "(default 5, at least 1)")
     bench.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the bench thread and write "
-                            "collapsed flame stacks to FILE (rate: "
-                            "$REPRO_PROFILE_HZ)")
+                            "collapsed flame stacks to FILE (no "
+                            "gate; not recorded in the ledger)")
     bench.add_argument("--cache-dir", default=None,
                        help="directory holding the run ledger "
                             "(default ~/.cache/repro or "
@@ -367,7 +370,8 @@ def _parser():
     add_quiet(bench)
 
     profile = sub.add_parser(
-        "profile", help="cProfile one map_kernel run (see repro.perf)")
+        "profile", help="sample repeated map_kernel runs of one case "
+                        "(see repro.obs.flame)")
     profile.add_argument("--kernel", required=True,
                         choices=PAPER_KERNEL_ORDER)
     profile.add_argument("--config", default="HOM32",
@@ -376,20 +380,16 @@ def _parser():
                         choices=sorted(VARIANTS))
     profile.add_argument("--top", type=int, default=20,
                         help="functions to print (default 20)")
-    profile.add_argument("--sort", default="cumulative",
-                        choices=("cumulative", "tottime", "ncalls"),
-                        help="pstats sort key (default cumulative)")
+    # Accepted and ignored (profile always samples): existing
+    # scripts pass it.
     profile.add_argument("--flame", action="store_true",
-                        help="sample with the zero-overhead wall-"
-                             "clock profiler instead of cProfile "
-                             "(collapsed-stack flame output)")
+                        help=argparse.SUPPRESS)
     profile.add_argument("--hz", type=float, default=None,
-                        help="sampling rate for --flame (default "
-                             "$REPRO_PROFILE_HZ or 97)")
+                        help="sampling rate (default 97)")
     profile.add_argument("--repeat", type=int, default=5,
-                        help="mappings sampled under one --flame "
-                             "profile (default 5 — one mapping is "
-                             "too fast to sample)")
+                        help="mappings sampled under one profile "
+                             "(default 5 — one mapping is too fast "
+                             "to sample)")
     profile.add_argument("--flame-out", default=None, metavar="FILE",
                         help="write collapsed flame stacks to FILE "
                              "(flamegraph.pl / speedscope input)")
@@ -642,34 +642,42 @@ def _progress(args):
 
 
 @contextlib.contextmanager
-def _flame_scope(args):
-    """Sample the driving thread for ``--flame-out``, if requested.
+def _sampling(flame_out=None, hz=None):
+    """Run the block under the sampling profiler; yields the profiler.
 
-    Stacks are written even when the wrapped run fails — a profile
-    of the run that misbehaved is the one worth keeping.
+    The one place a command starts and stops
+    :class:`~repro.obs.flame.SamplingProfiler`: ``profile`` always,
+    ``sweep``/``bench`` under ``--flame-out``.  Only the calling
+    thread is sampled.  ``flame_out`` receives the collapsed stacks
+    even when the wrapped run fails — a profile of the run that
+    misbehaved is the one worth keeping.
     """
-    flame_out = getattr(args, "flame_out", None)
-    if not flame_out:
-        yield
-        return
     import threading
 
     from repro.obs import flame
-    rate = flame.resolve_hz() or flame.DEFAULT_HZ
+    rate = flame.DEFAULT_HZ if hz is None else hz
     profiler = flame.SamplingProfiler(
         rate, thread_ids={threading.get_ident()})
     profiler.start()
     try:
-        yield
+        yield profiler
     finally:
         counts = profiler.stop()
-        flame.write_collapsed(flame_out, counts)
-        print(f"{sum(counts.values())} stack sample(s) @ {rate:g} Hz "
-              f"-> {flame_out}", file=sys.stderr, flush=True)
+        if flame_out:
+            flame.write_collapsed(flame_out, counts)
+            print(f"{sum(counts.values())} stack sample(s) @ "
+                  f"{rate:g} Hz -> {flame_out}",
+                  file=sys.stderr, flush=True)
 
 
 def _record_ledger(args, command, summary):
-    """Best-effort ledger append for a finished measured run."""
+    """Best-effort ledger append for a finished measured run.
+
+    A sampled run (``--flame-out``) is not recorded: the sampler
+    slows it down, and ``--compare-ledger`` gates on the ledger.
+    """
+    if getattr(args, "flame_out", None):
+        return
     from repro.perf import ledger
     ledger.record(command, summary,
                   cache_dir=getattr(args, "cache_dir", None))
@@ -810,6 +818,13 @@ def _sweep(args):
                                   variants=_split_axis(args.variants),
                                   seed=args.seed,
                                   backend=args.backend)
+    if args.flame_out and (args.workers > 1 or args.shard):
+        # The sampler sees the driving thread only: with worker
+        # processes it would record a pool waiting, and a shard
+        # slice is partial by construction.
+        raise ReproError("--flame-out samples the driving thread: "
+                         "run the sweep with --workers 1 and "
+                         "without --shard")
     shard = None
     if args.shard:
         from repro.runtime.shard import parse_shard
@@ -832,7 +847,9 @@ def _sweep(args):
         # recorded in the ledger, whose trends compare whole runs.
         return _run_shard(args, cache, specs, shard)
     from repro.runtime.pool import run_sweep
-    with _flame_scope(args):
+    sampling = _sampling(args.flame_out) if args.flame_out \
+        else contextlib.nullcontext()
+    with sampling:
         result = run_sweep(specs, workers=args.workers, cache=cache,
                            progress=_progress(args),
                            point_timeout=args.point_timeout)
@@ -1101,6 +1118,14 @@ def _bench(args):
         # the regression gate ran when nothing was compared.
         raise ReproError("--max-regress only applies with --compare "
                          "or --compare-ledger")
+    if args.flame_out and (args.compare or args.compare_ledger):
+        # The sampler slows the run it profiles: a gate would report
+        # its overhead as a regression.
+        raise ReproError("--flame-out cannot be gated: drop --compare "
+                         "/ --compare-ledger or the profile")
+    if args.window < 1:
+        raise ReproError(f"--window must be at least 1, "
+                         f"got {args.window}")
     max_regress = args.max_regress if args.max_regress is not None \
         else 25.0
     if args.cases:
@@ -1114,7 +1139,9 @@ def _bench(args):
                               variants=_split_axis(args.variants))
     progress = None if _quiet_requested(args) else (
         lambda line: print(line, file=sys.stderr, flush=True))
-    with _flame_scope(args):
+    sampling = _sampling(args.flame_out) if args.flame_out \
+        else contextlib.nullcontext()
+    with sampling:
         results = run_bench(cases, warmup=args.warmup,
                             repeat=args.repeat,
                             reducer=args.reducer, progress=progress)
@@ -1284,26 +1311,19 @@ def _metrics(args):
 
 
 def _profile(args):
-    from repro.perf import BenchCase, flame_case, profile_case
+    from repro.obs.flame import render_flame
+    from repro.perf import BenchCase, run_bench
 
     case = BenchCase(args.kernel, args.config, args.variant)
-    if args.flame or args.flame_out:
-        from repro.obs import flame
-        rate = args.hz if args.hz is not None \
-            else (flame.resolve_hz() or flame.DEFAULT_HZ)
-        counts, wakeups = flame_case(case, rate, repeat=args.repeat)
-        if args.flame_out:
-            flame.write_collapsed(args.flame_out, counts)
-            print(f"{sum(counts.values())} stack sample(s) -> "
-                  f"{args.flame_out}", file=sys.stderr, flush=True)
-        print(f"flame: {case.name} ({wakeups} wakeup(s) @ {rate:g} Hz "
-              f"x {max(1, args.repeat)} mapping(s))")
-        print(flame.render_flame(counts, top=args.top))
-        return 0
-    if args.hz is not None:
-        raise ReproError("--hz only applies with --flame")
-    text, _ = profile_case(case, top=args.top, sort=args.sort)
-    print(text)
+    # One mapping is milliseconds — too fast for a wall-clock
+    # sampler to see much — so the case is mapped repeatedly under
+    # one profile.
+    repeat = max(1, args.repeat)
+    with _sampling(args.flame_out, hz=args.hz) as profiler:
+        run_bench([case], warmup=0, repeat=repeat)
+    print(f"flame: {case.name} ({profiler.samples} wakeup(s) @ "
+          f"{profiler.hz:g} Hz x {repeat} mapping(s))")
+    print(render_flame(profiler.counts, top=args.top))
     return 0
 
 

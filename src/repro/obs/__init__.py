@@ -14,9 +14,9 @@ The telemetry layer every later perf PR reads from:
 - :mod:`repro.obs.analyze` — trace analytics over a span tree:
   critical path, per-stage self time, worker occupancy, straggler
   shards (``repro trace --analyze``);
-- :mod:`repro.obs.flame` — a zero-dependency sampling profiler with
-  collapsed-stack flame output (``repro profile --flame``,
-  ``--flame-out``, ``REPRO_PROFILE_HZ``);
+- :mod:`repro.obs.flame` — the zero-dependency sampling profiler,
+  the repo's only one, with collapsed-stack flame output
+  (``repro profile``, ``--flame-out`` on ``sweep``/``bench``);
 - :mod:`repro.obs.report` — the self-contained HTML dashboard
   (``repro report``, ``GET /dashboard``).
 

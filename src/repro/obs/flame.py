@@ -1,59 +1,39 @@
 """Zero-dependency sampling profiler with collapsed-stack output.
 
 Spans tell us *that* ``map_kernel`` took 40 ms; they cannot say which
-function inside it burned the cycles.  ``cProfile`` (``repro
-profile``) answers that for a single call but its tracing overhead
-distorts exactly the tight loops we care about.  This module adds the
-third lens: a **sampling** profiler built only on the standard
-library — a daemon thread wakes ``hz`` times per second, snapshots
-``sys._current_frames()``, and counts call stacks.  Overhead is a
-fixed, tiny tax proportional to ``hz``, not to the workload.
+function inside it burned the cycles.  A tracing profiler would
+answer that, but its per-call overhead distorts exactly the tight
+loops we care about.  This is the repo's one profiler: a
+**sampling** profiler built only on the standard library — a daemon
+thread wakes ``hz`` times per second, snapshots
+``sys._current_frames()``, and counts call stacks.
+
+Sampling is not free: every wakeup walks and formats the sampled
+stacks while holding the interpreter lock, and the profiled thread
+waits.  On a 2-core Intel Xeon host (Python 3.11.7), 20 interleaved
+sampled/unsampled mappings per case at 97 Hz ran a median 2% (fft)
+to 8% (convolution) slower on HOM32/full — dc_filter 4%, fir 4%,
+sep_filter 6% — with upper quartiles up to 24% (dc_filter); whole
+``bench --flame-out`` runs on a similar host measured 9-27% per
+case.  That is why a sampled run never reaches the run ledger or a
+regression gate (see ``repro.cli``).
 
 Output is the collapsed-stack format (``outer;inner;leaf count`` per
 line) that flamegraph.pl / speedscope / inferno all consume, written
-by ``--flame-out`` on sweep/bench or ``repro profile --flame``.
-
-Scoping follows the span idiom: ``profiled_span("mapping")`` opens a
-span *and* samples the calling thread while it is open, gated by an
-explicit ``hz`` or the ``REPRO_PROFILE_HZ`` env var — zero means off,
-and off costs nothing.
+by ``--flame-out`` on ``repro profile`` / ``sweep`` / ``bench``.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 from collections import Counter
-from contextlib import contextmanager
 
 from repro.errors import ReproError
-from repro.obs import trace
 
-#: Env var enabling scoped profiling (samples per second; 0/unset = off).
-ENV_PROFILE_HZ = "REPRO_PROFILE_HZ"
-
-#: Default sampling rate when profiling is requested without a rate.
+#: Sampling rate when none is given (``repro profile --hz``).
 #: Prime-ish, so a periodic workload can't hide between samples.
 DEFAULT_HZ = 97.0
-
-_lock = threading.Lock()
-_accumulated = Counter()
-
-
-def resolve_hz(hz=None):
-    """Effective sampling rate: explicit arg beats env beats off."""
-    if hz is not None:
-        return float(hz)
-    raw = os.environ.get(ENV_PROFILE_HZ, "").strip()
-    if not raw:
-        return 0.0
-    try:
-        return float(raw)
-    except ValueError:
-        raise ReproError(
-            f"{ENV_PROFILE_HZ}={raw!r} is not a sampling rate") \
-            from None
 
 
 def _frame_stack(frame):
@@ -72,8 +52,8 @@ class SamplingProfiler:
     """Wall-clock stack sampler over ``sys._current_frames()``.
 
     ``thread_ids`` pins sampling to specific threads (e.g. the one
-    inside a ``profiled_span``); ``None`` samples every thread except
-    the sampler itself.
+    driving a command); ``None`` samples every thread except the
+    sampler itself.
     """
 
     def __init__(self, hz=DEFAULT_HZ, thread_ids=None):
@@ -127,50 +107,6 @@ class SamplingProfiler:
     def __exit__(self, *exc):
         self.stop()
         return False
-
-
-def accumulate(counts):
-    """Fold a profiler's counts into the process-wide accumulator."""
-    with _lock:
-        _accumulated.update(counts)
-
-
-def drain_accumulated():
-    """Take and clear everything accumulated so far."""
-    with _lock:
-        counts = Counter(_accumulated)
-        _accumulated.clear()
-    return counts
-
-
-def snapshot_accumulated():
-    """Accumulated counts without clearing them."""
-    with _lock:
-        return Counter(_accumulated)
-
-
-@contextmanager
-def profiled_span(name, hz=None, **attrs):
-    """A span that also samples the calling thread while open.
-
-    With an effective rate of zero this is exactly ``trace.span`` —
-    the profiling path costs nothing unless asked for.  Collected
-    stacks land in the module accumulator so callers (sweep/bench
-    ``--flame-out``) can drain one merged profile at the end.
-    """
-    rate = resolve_hz(hz)
-    if rate <= 0:
-        with trace.span(name, **attrs):
-            yield None
-        return
-    profiler = SamplingProfiler(
-        rate, thread_ids={threading.get_ident()})
-    with trace.span(name, profile_hz=rate, **attrs):
-        profiler.start()
-        try:
-            yield profiler
-        finally:
-            accumulate(profiler.stop())
 
 
 def collapsed_lines(counts):

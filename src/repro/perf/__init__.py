@@ -7,10 +7,8 @@ The subsystem has three parts:
 - :mod:`repro.perf.schema` — the ``BENCH_*.json`` document all
   benchmark producers share, plus baseline comparison with a
   regression threshold (``repro bench --compare``);
-- :mod:`repro.perf.profile` — cProfile or flame-sample a single
-  mapping (``repro profile``);
 - :mod:`repro.perf.ledger` — the append-only run ledger every
-  bench/sweep/diff run records to (``repro history``,
+  unsampled bench/sweep/diff run records to (``repro history``,
   ``repro bench --compare-ledger``).
 """
 
@@ -22,7 +20,6 @@ from repro.perf.harness import (
     render_bench,
     run_bench,
 )
-from repro.perf.profile import flame_case, profile_case
 from repro.perf.schema import (
     BENCH_JSON_SCHEMA,
     bench_payload,
@@ -38,12 +35,10 @@ __all__ = [
     "bench_payload",
     "compare_benchmarks",
     "default_cases",
-    "flame_case",
     "ledger",
     "load_bench_file",
     "parse_bench_payload",
     "parse_case",
-    "profile_case",
     "render_bench",
     "render_comparison",
     "run_bench",

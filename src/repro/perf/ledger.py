@@ -6,12 +6,14 @@ mapper been drifting slower over the last twenty runs on *this*
 machine?".  The ledger answers it: an append-only JSONL file under
 the cache directory (so ``REPRO_CACHE_DIR`` relocates and isolates it
 exactly like cached results) to which every ``repro bench`` /
-``repro sweep`` / ``repro diff`` appends one summary line.
+``repro sweep`` / ``repro diff`` appends one summary line — except a
+run sampled with ``--flame-out``, which the profiler slows down.
 
 Design points:
 
-- **append-only JSONL** — a crashed writer corrupts at most its own
-  line, and readers skip malformed lines instead of dying;
+- **append-only JSONL** (:mod:`repro.jsonl`, shared with the serve
+  job journal) — a crashed writer corrupts at most its own line, and
+  readers skip malformed lines instead of dying;
 - **schema-versioned** like every other repro document, with the
   command name and host recorded so comparisons can filter to
   same-host, same-command entries;
@@ -34,7 +36,7 @@ import platform
 import statistics
 import time
 
-from repro import __version__
+from repro import __version__, jsonl
 from repro.errors import ReproError
 from repro.perf.schema import compare_benchmarks
 from repro.runtime.cache import default_cache_dir
@@ -80,14 +82,8 @@ def make_entry(command, summary, created_unix=None):
     }
 
 
-def append_entry(entry, path):
-    """Append one entry as a compact JSON line; returns the path."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-    return path
+#: Append one entry as a compact JSON line; returns the path.
+append_entry = jsonl.append
 
 
 def record(command, summary, cache_dir=None):
@@ -113,32 +109,12 @@ def read_ledger(path=None, command=None, host=None, limit=None):
     ``skipped`` and otherwise ignored.  ``limit`` keeps the *newest*
     N entries after filtering.
     """
-    path = pathlib.Path(path) if path else ledger_path()
-    entries, skipped = [], 0
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError:
-        return [], 0
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(entry, dict) \
-                or entry.get("kind") != "ledger-entry" \
-                or not isinstance(entry.get("summary"), dict):
-            skipped += 1
-            continue
-        if command is not None and entry.get("command") != command:
-            continue
-        if host is not None and entry.get("hostname") != host:
-            continue
-        entries.append(entry)
+    entries, skipped = jsonl.read(
+        path or ledger_path(), "ledger-entry",
+        valid=lambda entry: isinstance(entry.get("summary"), dict))
+    entries = [entry for entry in entries
+               if (command is None or entry.get("command") == command)
+               and (host is None or entry.get("hostname") == host)]
     if limit is not None and limit >= 0:
         entries = entries[-limit:] if limit else []
     return entries, skipped

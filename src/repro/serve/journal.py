@@ -30,11 +30,12 @@ requeued.
 from __future__ import annotations
 
 import datetime
-import json
 import os
 import pathlib
 import threading
 import time
+
+from repro import jsonl
 
 #: Version of a job-event line.
 JOURNAL_SCHEMA = 1
@@ -98,12 +99,9 @@ class JobJournal:
                 now, datetime.timezone.utc).isoformat(),
         }
         entry.update(fields)
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         try:
             with self._lock:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a") as handle:
-                    handle.write(line + "\n")
+                jsonl.append(entry, self.path)
         except OSError:
             self.write_errors += 1
             return None
@@ -118,27 +116,12 @@ class JobJournal:
         or foreign lines are counted in ``skipped`` and ignored, the
         same reader contract as the run ledger.
         """
-        jobs, skipped = {}, 0
-        try:
-            with open(self.path) as handle:
-                lines = handle.readlines()
-        except OSError:
-            return {}, 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(entry, dict) \
-                    or entry.get("kind") != "job-event" \
-                    or entry.get("event") not in EVENTS \
-                    or not isinstance(entry.get("job_id"), str):
-                skipped += 1
-                continue
+        entries, skipped = jsonl.read(
+            self.path, "job-event",
+            valid=lambda entry: entry.get("event") in EVENTS
+            and isinstance(entry.get("job_id"), str))
+        jobs = {}
+        for entry in entries:
             state = jobs.setdefault(entry["job_id"], {})
             state["event"] = entry["event"]
             if entry["event"] == "submitted":

@@ -1,5 +1,7 @@
-"""Sampling profiler: collection, scoping, collapsed-stack output."""
+"""Sampling profiler: collection, collapsed-stack output, and the
+CLI rule that a sampled run never reaches the ledger or a gate."""
 
+import json
 import time
 from collections import Counter
 
@@ -7,17 +9,19 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ReproError
-from repro.obs import flame, trace
 from repro.obs.flame import (
-    DEFAULT_HZ,
-    ENV_PROFILE_HZ,
     SamplingProfiler,
     collapsed_lines,
-    profiled_span,
     render_flame,
-    resolve_hz,
     write_collapsed,
 )
+from repro.perf import bench_payload
+from repro.perf.ledger import append_entry, ledger_path, make_entry
+
+SWEEP_ARGS = ["sweep", "--kernels", "dc_filter", "--configs", "HOM64",
+              "--variants", "basic", "--quiet"]
+BENCH_ARGS = ["bench", "--cases", "dc_filter@HOM64/basic",
+              "--warmup", "0", "--repeat", "1", "--quiet"]
 
 
 def busy_wait(seconds):
@@ -25,25 +29,6 @@ def busy_wait(seconds):
     deadline = time.perf_counter() + seconds
     while time.perf_counter() < deadline:
         sum(range(100))
-
-
-class TestResolveHz:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "50")
-        assert resolve_hz(200) == 200.0
-
-    def test_env_used_when_no_arg(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "123.5")
-        assert resolve_hz() == 123.5
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
-        assert resolve_hz() == 0.0
-
-    def test_junk_env_raises(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "fast")
-        with pytest.raises(ReproError, match="sampling rate"):
-            resolve_hz()
 
 
 class TestSamplingProfiler:
@@ -104,37 +89,6 @@ class TestSamplingProfiler:
         assert "busy_wait" in frames[-1]
 
 
-class TestProfiledSpan:
-    def test_off_by_default_records_plain_span(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
-        flame.drain_accumulated()
-        trace.enable_tracing()
-        with profiled_span("quiet") as profiler:
-            assert profiler is None
-        spans = trace.drain_spans()
-        assert [s["name"] for s in spans] == ["quiet"]
-        assert sum(flame.drain_accumulated().values()) == 0
-
-    def test_accumulates_when_enabled(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "400")
-        flame.drain_accumulated()
-        trace.enable_tracing()
-        with profiled_span("hot") as profiler:
-            assert profiler is not None
-            busy_wait(0.1)
-        counts = flame.drain_accumulated()
-        assert sum(counts.values()) > 0
-        spans = trace.drain_spans()
-        assert spans[0]["attrs"]["profile_hz"] == 400.0
-
-    def test_snapshot_preserves_accumulator(self):
-        flame.drain_accumulated()
-        flame.accumulate(Counter({"a;b": 3}))
-        assert flame.snapshot_accumulated() == Counter({"a;b": 3})
-        assert flame.drain_accumulated() == Counter({"a;b": 3})
-        assert sum(flame.snapshot_accumulated().values()) == 0
-
-
 class TestCollapsedOutput:
     def test_lines_sorted_and_formatted(self):
         counts = Counter({"m.f;m.g": 2, "m.a": 5})
@@ -178,18 +132,68 @@ class TestCliFlame:
         assert all(line.rsplit(" ", 1)[1].isdigit()
                    for line in lines if line)
 
-    def test_hz_without_flame_rejected(self, capsys):
+    def test_profile_samples_without_the_flame_flag(self, capsys):
+        # Sampling is the only mode: --flame is an ignored alias and
+        # --hz needs no companion flag.
         assert main(["profile", "--kernel", "dc_filter",
-                     "--hz", "100"]) == 1
-        assert "--hz only applies" in capsys.readouterr().err
+                     "--config", "HOM64", "--variant", "basic",
+                     "--hz", "600", "--repeat", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "flame: dc_filter@HOM64/basic" in out
+        assert "@ 600 Hz x 4 mapping(s)" in out
 
-    def test_sweep_flame_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "300")
+    def test_sweep_flame_out(self, tmp_path, capsys):
         target = tmp_path / "sweep.flame"
-        assert main(["sweep", "--kernels", "dc_filter",
-                     "--configs", "HOM64", "--variants", "basic",
-                     "--cache-dir", str(tmp_path), "--quiet",
-                     "--flame-out", str(target)]) == 0
+        assert main(SWEEP_ARGS + ["--cache-dir", str(tmp_path),
+                                  "--flame-out", str(target)]) == 0
         err = capsys.readouterr().err
         assert target.exists()
         assert "stack sample(s)" in err
+
+    @pytest.mark.parametrize("extra", [["--workers", "2"],
+                                       ["--shard", "0/2"]])
+    def test_sweep_flame_out_needs_the_driving_thread(
+            self, tmp_path, capsys, extra):
+        # Worker processes leave the sampled thread waiting on the
+        # pool, and a shard never opened the profile at all.
+        target = tmp_path / "sweep.flame"
+        assert main(SWEEP_ARGS + extra + [
+            "--cache-dir", str(tmp_path),
+            "--flame-out", str(target)]) == 1
+        assert "--flame-out" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("command", [SWEEP_ARGS, BENCH_ARGS])
+    def test_sampled_run_leaves_the_ledger_untouched(
+            self, tmp_path, capsys, command):
+        path = ledger_path(tmp_path)
+        append_entry(make_entry("bench", {"cases": {}}), path)
+        before = path.read_bytes()
+        target = tmp_path / "run.flame"
+        assert main(command + ["--cache-dir", str(tmp_path),
+                               "--flame-out", str(target)]) == 0
+        capsys.readouterr()
+        assert target.exists()
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("gate", ["--compare", "--compare-ledger"])
+    def test_sampled_bench_cannot_be_gated(self, tmp_path, capsys,
+                                           gate):
+        # Baselines every real run passes: only the usage error can
+        # fail the command.
+        path = ledger_path(tmp_path)
+        append_entry(make_entry("bench", {
+            "cases": {"dc_filter@HOM64/basic": 1e9}}), path)
+        baseline = tmp_path / "BENCH_base.json"
+        baseline.write_text(json.dumps(bench_payload(
+            [{"case": "dc_filter@HOM64/basic", "seconds": 1e9,
+              "samples": [1e9], "counts": {"mapped": True}}],
+            warmup=0, repeat=1, reducer="min")))
+        gate_args = [gate, str(baseline)] if gate == "--compare" \
+            else [gate]
+        target = tmp_path / "bench.flame"
+        assert main(BENCH_ARGS + gate_args + [
+            "--cache-dir", str(tmp_path),
+            "--flame-out", str(target)]) == 1
+        assert "--flame-out" in capsys.readouterr().err
+        assert not target.exists()

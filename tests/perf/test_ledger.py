@@ -214,6 +214,17 @@ class TestCliLedger:
         assert main(BENCH_ARGS + ["--compare-ledger"]) == 1
         assert "no bench entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["0", "-1"])
+    def test_window_below_one_is_a_usage_error(self, capsys, window):
+        # [-window:] would take all 6 entries at 0 and 5 at -1:
+        # a different median from the one asked for.
+        path = ledger_path()
+        for _ in range(6):
+            append_entry(bench_entry(1e9), path)
+        assert main(BENCH_ARGS + ["--compare-ledger",
+                                  f"--window={window}"]) == 1
+        assert "--window" in capsys.readouterr().err
+
     def test_max_regress_allowed_with_compare_ledger(self, capsys):
         # PR 8 rejected --max-regress without --compare; the ledger
         # gate is the second legitimate consumer.
