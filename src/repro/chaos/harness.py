@@ -126,6 +126,11 @@ def run_chaos(specs, faults=None, workers=2, point_timeout=30.0,
     """
     import tempfile
 
+    if allow_quarantine < 0:
+        # "Up to -1 quarantined points" fails every run, healed or
+        # not: a usage error, not a verdict.
+        raise ReproError(f"allow_quarantine must be >= 0, "
+                         f"got {allow_quarantine}")
     if faults is None:
         faults = os.environ.get(ENV_FAULT) or DEFAULT_PLAN
     plan = parse_fault_plan(faults)

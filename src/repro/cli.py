@@ -43,7 +43,7 @@ Commands mirror the user journeys of the examples:
   ``chrome://tracing``); ``--analyze`` adds the critical path /
   self-time / occupancy / straggler report, ``--from FILE`` analyses
   a saved trace instead of running; ``sweep``/``diff``/``submit``/
-  ``explore`` grow the same capture via ``--trace-out FILE``
+  ``explore`` write the same capture via ``--trace-out FILE``
   (see :mod:`repro.obs`);
 - ``metrics``       — print the Prometheus text exposition of this
   process's metric registry, or scrape a running server's
@@ -78,6 +78,13 @@ Commands mirror the user journeys of the examples:
 Sweeps and figure prewarms stream one progress line per landed point
 to stderr, so stdout stays clean for tables and JSON; ``--quiet`` (or
 ``REPRO_QUIET=1``) silences those lines.
+
+Plumbing the commands share is written once: one table in
+``_parser`` declares every shared flag; ``_sweep_specs`` resolves the
+sweep axes; ``_run_shard`` runs every ``--shard I/N`` on the server's
+:class:`~repro.runtime.shard.SweepRequest`; ``_traced`` writes the
+spans of ``--trace-out`` and ``repro trace``; ``_print_sweep`` and
+``_emit`` print sweep results and ``--out`` reports.
 """
 
 from __future__ import annotations
@@ -107,46 +114,78 @@ def _parser():
                     "reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flags several commands take, each declared once; ``add`` puts
+    # them on a subcommand, ``overrides`` maps a dest to the keyword
+    # arguments that differ there.
+    shared = {
+        "--kernels": dict(default=None,
+                          help="comma-separated kernels (default: all)"),
+        "--configs": dict(default=None,
+                          help="comma-separated configs (default: "
+                               "HOM64,HOM32,HET1,HET2)"),
+        "--variants": dict(default=None,
+                           help="comma-separated flow variants "
+                                "(default: all)"),
+        "--seed": dict(type=int, default=7,
+                       help="input seed (default 7)"),
+        "--backend": dict(default=None,
+                          help="execution backend: analytic (default) "
+                               "or cycle — see repro.runtime.backends"),
+        "--workers": dict(type=int, default=1,
+                          help="worker processes (1 = serial)"),
+        "--shard": dict(default=None, metavar="I/N",
+                        help="run only shard I of N (deterministic, "
+                             "disjoint, cost-balanced slices); emits "
+                             "the partial sweep, which merges with the "
+                             "other shards"),
+        "--cache-balanced": dict(action="store_true",
+                                 help="balance shards by residual "
+                                      "(uncached) cost — every shard "
+                                      "producer must see the same "
+                                      "shared cache"),
+        "--trace-out": dict(default=None, metavar="FILE",
+                            help="record pipeline spans and write "
+                                 "Chrome trace JSON to FILE "
+                                 "(Perfetto-loadable)"),
+        "--no-cache": dict(action="store_true",
+                           help="bypass the persistent result cache"),
+        "--cache-dir": dict(default=None,
+                            help="cache directory, also holding the run "
+                                 "ledger and job journal (default "
+                                 "~/.cache/repro or $REPRO_CACHE_DIR)"),
+        "--quiet": dict(action="store_true",
+                        help="suppress per-point progress lines on "
+                             "stderr (also $REPRO_QUIET=1)"),
+    }
+    axes = ("--kernels", "--configs", "--variants")
+    cache_flags = ("--no-cache", "--cache-dir")
+
+    def add(p, *flags, **overrides):
+        for flag in flags:
+            dest = flag[2:].replace("-", "_")
+            p.add_argument(flag, **{**shared[flag],
+                                    **overrides.get(dest, {})})
+        return p
+
     def add_common(p):
         p.add_argument("kernel", choices=PAPER_KERNEL_ORDER)
         p.add_argument("--config", default="HET1",
                        choices=sorted(CGRA_CONFIGS))
         p.add_argument("--flow", default="full",
                        choices=sorted(VARIANTS))
-        p.add_argument("--seed", type=int, default=7)
-
-    def add_cache_flags(p):
-        p.add_argument("--no-cache", action="store_true",
-                       help="bypass the persistent result cache")
-        p.add_argument("--cache-dir", default=None,
-                       help="cache directory (default ~/.cache/repro "
-                            "or $REPRO_CACHE_DIR)")
-
-    def add_quiet(p):
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress per-point progress lines on "
-                            "stderr (also $REPRO_QUIET=1)")
+        return add(p, "--seed")
 
     add_common(sub.add_parser("map", help="map a kernel, show usage"))
     add_common(sub.add_parser("run", help="map + simulate + verify"))
-    energy = sub.add_parser("energy", help="energy breakdown row")
-    add_common(energy)
-    add_cache_flags(energy)
+    add(add_common(sub.add_parser("energy", help="energy breakdown row")),
+        *cache_flags)
     sub.add_parser("area", help="Fig 11 area comparison")
     sub.add_parser("kernels", help="list available kernels")
 
-    sweep = sub.add_parser(
-        "sweep", help="batch-run experiment points in parallel")
-    sweep.add_argument("--kernels", default=None,
-                       help="comma-separated kernels (default: all)")
-    sweep.add_argument("--configs", default=None,
-                       help="comma-separated configs (default: "
-                            "HOM64,HOM32,HET1,HET2)")
-    sweep.add_argument("--variants", default=None,
-                       help="comma-separated flow variants "
-                            "(default: all)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="worker processes (1 = serial)")
+    sweep = add(sub.add_parser(
+        "sweep", help="batch-run experiment points in parallel"),
+        *axes, "--seed", "--backend", "--workers", "--shard",
+        "--cache-balanced", "--trace-out", *cache_flags, "--quiet")
     sweep.add_argument("--point-timeout", type=float, default=None,
                        metavar="SECONDS",
                        help="per-point wall-clock deadline: an "
@@ -154,45 +193,23 @@ def _parser():
                             "and the point retried, then yielded as "
                             "a timeout error (default "
                             "$REPRO_POINT_TIMEOUT, else unlimited)")
-    sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--backend", default=None,
-                       help="execution backend: analytic (default) "
-                            "or cycle — see repro.runtime.backends")
     sweep.add_argument("--clear-cache", action="store_true",
                        help="wipe the cache before running")
-    sweep.add_argument("--shard", default=None, metavar="I/N",
-                       help="run only shard I of N (deterministic, "
-                            "disjoint, cost-balanced slices)")
-    sweep.add_argument("--cache-balanced", action="store_true",
-                       help="balance shards by residual (uncached) "
-                            "cost — every shard producer must see "
-                            "the same shared cache")
     sweep.add_argument("--json", action="store_true",
                        help="emit a machine-readable result payload "
                             "on stdout instead of the table")
-    sweep.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="record pipeline spans and write Chrome "
-                            "trace JSON to FILE (Perfetto-loadable)")
     sweep.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the driving thread during the "
                             "sweep and write collapsed flame stacks "
-                            "to FILE (needs --workers 1 and no "
-                            "--shard; not recorded in the ledger)")
-    add_cache_flags(sweep)
-    add_quiet(sweep)
+                            "to FILE (needs --workers 1, no --shard "
+                            "and no point deadline; not recorded in "
+                            "the ledger)")
 
-    diff = sub.add_parser(
+    diff = add(sub.add_parser(
         "diff", help="run specs through two backends and compare "
-                     "cycles/outputs (see repro.runtime.diff)")
-    diff.add_argument("--kernels", default=None,
-                      help="comma-separated kernels (default: all)")
-    diff.add_argument("--configs", default=None,
-                      help="comma-separated configs (default: "
-                           "HOM64,HOM32,HET1,HET2)")
-    diff.add_argument("--variants", default=None,
-                      help="comma-separated flow variants "
-                           "(default: all)")
-    diff.add_argument("--seed", type=int, default=7)
+                     "cycles/outputs (see repro.runtime.diff)"),
+        *axes, "--seed", "--workers", "--trace-out", *cache_flags,
+        "--quiet")
     diff.add_argument("--backends", default=None, metavar="A,B",
                       help="the two backends to compare "
                            "(default analytic,cycle)")
@@ -202,18 +219,11 @@ def _parser():
     diff.add_argument("--rel-tol", type=float, default=None,
                       help="relative cycle tolerance vs the first "
                            "backend (default 0.01)")
-    diff.add_argument("--workers", type=int, default=1,
-                      help="worker processes (1 = serial)")
     diff.add_argument("--json", action="store_true",
                       help="emit the diff report as JSON on stdout")
     diff.add_argument("--out", default=None, metavar="FILE",
                       help="also write the JSON report to FILE "
                            "(the CI artifact)")
-    diff.add_argument("--trace-out", default=None, metavar="FILE",
-                      help="record pipeline spans and write Chrome "
-                           "trace JSON to FILE (Perfetto-loadable)")
-    add_cache_flags(diff)
-    add_quiet(diff)
 
     merge = sub.add_parser(
         "merge", help="combine shard JSON result files into one sweep")
@@ -222,12 +232,9 @@ def _parser():
     merge.add_argument("--json", action="store_true",
                        help="emit the merged payload as JSON")
 
-    cache = sub.add_parser(
-        "cache", help="manage the persistent result cache")
+    cache = add(sub.add_parser(
+        "cache", help="manage the persistent result cache"), "--cache-dir")
     cache.add_argument("action", choices=("stats", "prune", "clear"))
-    cache.add_argument("--cache-dir", default=None,
-                       help="cache directory (default ~/.cache/repro "
-                            "or $REPRO_CACHE_DIR)")
     cache.add_argument("--max-bytes", default=None,
                        help="byte cap for prune, e.g. 4096 / 512K / "
                             "64M / 2G (default $REPRO_CACHE_MAX_BYTES)")
@@ -242,22 +249,13 @@ def _parser():
     figure.add_argument("name", choices=(
         "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
         "table2"))
-    figure.add_argument("--workers", type=int, default=1,
-                        help="worker processes for the mapping-bound "
-                             "figures (fig6-8, fig10, table2)")
-    figure.add_argument("--shard", default=None, metavar="I/N",
-                        help="compute only shard I of N of this "
-                             "figure's points (distributed prewarm); "
-                             "emits the partial sweep, not the figure")
-    figure.add_argument("--cache-balanced", action="store_true",
-                        help="balance shards by residual (uncached) "
-                             "cost — every shard producer must see "
-                             "the same shared cache")
+    add(figure, "--workers", "--shard", "--cache-balanced",
+        *cache_flags, "--quiet",
+        workers=dict(help="worker processes for the mapping-bound "
+                          "figures (fig6-8, fig10, table2)"))
     figure.add_argument("--json", action="store_true",
                         help="emit the figure data (or the shard "
                              "payload) as JSON")
-    add_cache_flags(figure)
-    add_quiet(figure)
 
     explore = sub.add_parser(
         "explore", help="design-space exploration (see repro.dse)")
@@ -272,8 +270,6 @@ def _parser():
     explore.add_argument("--samples", type=int, default=None,
                          help="sampled per-tile designs for the "
                               "'tiles' space (default 8)")
-    explore.add_argument("--kernels", default=None,
-                         help="comma-separated kernels (default: all)")
     explore.add_argument("--variant", default=None,
                          help="flow variant to evaluate under "
                               "(default full)")
@@ -290,47 +286,27 @@ def _parser():
     explore.add_argument("--seed", type=int, default=None,
                          help="input seed; also drives the random "
                               "strategy's sampling")
-    explore.add_argument("--backend", default=None,
-                         help="execution backend for every evaluated "
-                              "point (default analytic)")
     explore.add_argument("--rows", type=int, default=None,
                          help="array rows for generated designs "
                               "(default 4)")
     explore.add_argument("--cols", type=int, default=None,
                          help="array columns for generated designs "
                               "(default 4)")
-    explore.add_argument("--workers", type=int, default=1,
-                         help="worker processes (1 = serial)")
-    explore.add_argument("--shard", default=None, metavar="I/N",
-                         help="prewarm only shard I of N of the "
-                              "exhaustive design x kernel grid into "
-                              "the shared cache (emits the partial "
-                              "sweep, not the frontier)")
-    explore.add_argument("--cache-balanced", action="store_true",
-                         help="balance shards by residual (uncached) "
-                              "cost — every shard producer must see "
-                              "the same shared cache")
     explore.add_argument("--json", action="store_true",
                          help="emit the exploration document (or the "
                               "shard payload) as JSON")
-    explore.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="record pipeline spans and write Chrome "
-                              "trace JSON to FILE (Perfetto-loadable)")
-    add_cache_flags(explore)
-    add_quiet(explore)
+    add(explore, "--kernels", "--backend", "--workers", "--shard",
+        "--cache-balanced", "--trace-out", *cache_flags, "--quiet")
 
     bench = sub.add_parser(
         "bench", help="time map_kernel across cases (see repro.perf)")
     bench.add_argument("--cases", default=None,
                        help="comma-separated kernel@CONFIG/variant "
                             "cases (overrides the axes)")
-    bench.add_argument("--kernels", default=None,
-                       help="comma-separated kernels (default: all)")
-    bench.add_argument("--configs", default=None,
-                       help="comma-separated configs (default: HOM32)")
-    bench.add_argument("--variants", default=None,
-                       help="comma-separated flow variants "
-                            "(default: full)")
+    add(bench, *axes, "--cache-dir", "--quiet",
+        configs=dict(help="comma-separated configs (default: HOM32)"),
+        variants=dict(help="comma-separated flow variants "
+                           "(default: full)"))
     bench.add_argument("--warmup", type=int, default=1,
                        help="unrecorded runs per case (default 1)")
     bench.add_argument("--repeat", type=int, default=3,
@@ -363,11 +339,6 @@ def _parser():
                        help="sample the bench thread and write "
                             "collapsed flame stacks to FILE (no "
                             "gate; not recorded in the ledger)")
-    bench.add_argument("--cache-dir", default=None,
-                       help="directory holding the run ledger "
-                            "(default ~/.cache/repro or "
-                            "$REPRO_CACHE_DIR)")
-    add_quiet(bench)
 
     profile = sub.add_parser(
         "profile", help="sample repeated map_kernel runs of one case "
@@ -394,24 +365,11 @@ def _parser():
                         help="write collapsed flame stacks to FILE "
                              "(flamegraph.pl / speedscope input)")
 
-    trace_cmd = sub.add_parser(
+    trace_cmd = add(sub.add_parser(
         "trace", help="run a traced sweep, write Chrome trace JSON "
-                      "(see repro.obs)")
-    trace_cmd.add_argument("--kernels", default=None,
-                           help="comma-separated kernels "
-                                "(default: all)")
-    trace_cmd.add_argument("--configs", default=None,
-                           help="comma-separated configs (default: "
-                                "HOM64,HOM32,HET1,HET2)")
-    trace_cmd.add_argument("--variants", default=None,
-                           help="comma-separated flow variants "
-                                "(default: all)")
-    trace_cmd.add_argument("--seed", type=int, default=7)
-    trace_cmd.add_argument("--backend", default=None,
-                           help="execution backend (default analytic)")
-    trace_cmd.add_argument("--workers", type=int, default=1,
-                           help="worker processes (1 = serial); "
-                                "worker spans stitch into the tree")
+                      "(see repro.obs)"),
+        *axes, "--seed", "--backend", "--workers", *cache_flags,
+        "--quiet")
     trace_cmd.add_argument("--out", default="trace.json",
                            metavar="FILE",
                            help="Chrome trace-event JSON output "
@@ -429,12 +387,10 @@ def _parser():
     trace_cmd.add_argument("--json", action="store_true",
                            help="emit the trace-analysis payload as "
                                 "JSON on stdout")
-    add_cache_flags(trace_cmd)
-    add_quiet(trace_cmd)
 
-    history = sub.add_parser(
+    history = add(sub.add_parser(
         "history", help="render the persistent run ledger "
-                        "(see repro.perf.ledger)")
+                        "(see repro.perf.ledger)"), "--cache-dir")
     history.add_argument("--command", dest="filter_command",
                          default=None,
                          choices=("bench", "sweep", "diff"),
@@ -443,14 +399,10 @@ def _parser():
                          help="newest entries shown (default 20)")
     history.add_argument("--json", action="store_true",
                          help="emit the entries as JSON")
-    history.add_argument("--cache-dir", default=None,
-                         help="directory holding the run ledger "
-                              "(default ~/.cache/repro or "
-                              "$REPRO_CACHE_DIR)")
 
-    report = sub.add_parser(
+    report = add(sub.add_parser(
         "report", help="write the watchtower dashboard HTML "
-                       "(see repro.obs.report)")
+                       "(see repro.obs.report)"), *cache_flags)
     report.add_argument("--out", default="report.html", metavar="FILE",
                         help="output file (default report.html; "
                              "'-' for stdout)")
@@ -461,19 +413,18 @@ def _parser():
     report.add_argument("--limit", type=int, default=50,
                         help="newest ledger entries charted "
                              "(default 50)")
-    add_cache_flags(report)
 
-    metrics_cmd = sub.add_parser(
+    metrics_cmd = add(sub.add_parser(
         "metrics", help="print Prometheus metrics (local registry or "
-                        "a server's /metrics)")
+                        "a server's /metrics)"), *cache_flags)
     metrics_cmd.add_argument("--server", default=None, metavar="URL",
                              help="scrape URL/metrics from a running "
                                   "repro serve instead of the local "
                                   "registry")
-    add_cache_flags(metrics_cmd)
 
-    serve = sub.add_parser(
-        "serve", help="expose sweeps over HTTP (see repro.serve)")
+    serve = add(sub.add_parser(
+        "serve", help="expose sweeps over HTTP (see repro.serve)"),
+        *cache_flags, "--quiet")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8000,
@@ -511,38 +462,24 @@ def _parser():
                        help="replay the job journal on startup: "
                             "jobs left queued/running by a killed "
                             "server are requeued under their "
-                            "original IDs")
+                            "original IDs (the journal is first "
+                            "compacted to those jobs)")
     serve.add_argument("--no-journal", action="store_true",
                        help="do not record job transitions to the "
                             "durable journal (<cache-dir>/"
                             "jobs.jsonl)")
-    add_cache_flags(serve)
-    add_quiet(serve)
 
-    submit = sub.add_parser(
-        "submit", help="dispatch a sweep to repro serve instance(s)")
+    submit = add(sub.add_parser(
+        "submit", help="dispatch a sweep to repro serve instance(s)"),
+        *axes, "--backend", "--shard", "--trace-out", "--quiet")
     submit.add_argument("--server", required=True, metavar="URL[,URL]",
                         help="server URL; several (comma-separated) "
                              "with --shard-across")
-    submit.add_argument("--kernels", default=None,
-                        help="comma-separated kernels (default: all)")
-    submit.add_argument("--configs", default=None,
-                        help="comma-separated configs (default: "
-                             "HOM64,HOM32,HET1,HET2)")
-    submit.add_argument("--variants", default=None,
-                        help="comma-separated flow variants "
-                             "(default: all)")
     submit.add_argument("--seed", type=int, default=None,
                         help="input seed (default: the server's)")
-    submit.add_argument("--backend", default=None,
-                        help="execution backend for the submitted "
-                             "sweep (axes mode only)")
     submit.add_argument("--figure", default=None, metavar="NAME",
                         help="submit a figure's prewarm points "
                              "instead of sweep axes")
-    submit.add_argument("--shard", default=None, metavar="I/N",
-                        help="have the server compute only shard I "
-                             "of N (payload merges with the others)")
     submit.add_argument("--shard-across", action="store_true",
                         help="split the sweep across all given "
                              "servers (one shard per URL) and merge "
@@ -568,64 +505,41 @@ def _parser():
                              "(default $REPRO_SERVE_TOKEN)")
     submit.add_argument("--json", action="store_true",
                         help="emit the result payload as JSON")
-    submit.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="trace the submission; server-side "
-                             "spans stitch into the local tree via "
-                             "the propagated traceparent")
-    add_quiet(submit)
 
-    chaos_cmd = sub.add_parser(
+    chaos_cmd = add(sub.add_parser(
         "chaos", help="run a sweep under injected faults and prove "
                       "it converges to the clean answer "
-                      "(see repro.chaos)")
-    chaos_cmd.add_argument("--kernels", default=None,
-                           help="comma-separated kernels "
-                                "(default: all)")
-    chaos_cmd.add_argument("--configs", default=None,
-                           help="comma-separated configs (default: "
-                                "HOM64,HOM32,HET1,HET2)")
-    chaos_cmd.add_argument("--variants", default=None,
-                           help="comma-separated flow variants "
-                                "(default: all)")
-    chaos_cmd.add_argument("--seed", type=int, default=7)
-    chaos_cmd.add_argument("--backend", default=None,
-                           help="execution backend (default "
-                                "analytic)")
+                      "(see repro.chaos)"),
+        *axes, "--seed", "--backend", "--workers", "--quiet",
+        workers=dict(default=2,
+                     help="worker processes (>= 2: process faults "
+                          "need real worker children)"))
     chaos_cmd.add_argument("--faults", default=None, metavar="PLAN",
                            help="fault plan, e.g. 'worker_crash:"
                                 "p=0.1,attempts=1;cache_corrupt:"
                                 "p=0.2' (default $REPRO_FAULT, else "
                                 "a crash+corrupt plan)")
-    chaos_cmd.add_argument("--workers", type=int, default=2,
-                           help="worker processes (>= 2: process "
-                                "faults need real worker children)")
     chaos_cmd.add_argument("--point-timeout", type=float,
                            default=30.0, metavar="SECONDS",
                            help="per-point deadline during the "
                                 "faulted runs (default 30)")
     chaos_cmd.add_argument("--allow-quarantine", type=int, default=0,
                            metavar="N",
-                           help="tolerate up to N quarantined points "
-                                "in the verdict (default 0: every "
-                                "fault must heal)")
+                           help="tolerate up to N >= 0 quarantined "
+                                "points in the verdict (default 0: "
+                                "every fault must heal)")
     chaos_cmd.add_argument("--json", action="store_true",
                            help="emit the chaos report as JSON on "
                                 "stdout")
     chaos_cmd.add_argument("--out", default=None, metavar="FILE",
                            help="also write the JSON report to FILE "
                                 "(the CI artifact)")
-    add_quiet(chaos_cmd)
     return parser
 
 
 #: Environment variable silencing per-point progress (any value but
 #: ``0``/``false``/``no``/empty counts as on).
 ENV_QUIET = "REPRO_QUIET"
-
-
-def _stderr_progress(update):
-    """Narrate a streaming sweep on stderr, one line per point."""
-    print(update.describe(), file=sys.stderr, flush=True)
 
 
 def _quiet_requested(args):
@@ -636,9 +550,14 @@ def _quiet_requested(args):
     return value.strip().lower() not in ("", "0", "false", "no")
 
 
-def _progress(args):
-    """The progress callback honouring ``--quiet``/``$REPRO_QUIET``."""
-    return None if _quiet_requested(args) else _stderr_progress
+def _progress(args, describe=lambda update: update.describe()):
+    """The stderr progress callback, or None under ``--quiet``/
+    ``$REPRO_QUIET``: each call prints ``describe(*arguments)`` as
+    one line (default: a streaming sweep's ``StreamUpdate``)."""
+    if _quiet_requested(args):
+        return None
+    return lambda *update: print(describe(*update), file=sys.stderr,
+                                 flush=True)
 
 
 @contextlib.contextmanager
@@ -670,6 +589,32 @@ def _sampling(flame_out=None, hz=None):
                   file=sys.stderr, flush=True)
 
 
+@contextlib.contextmanager
+def _traced(out):
+    """Record pipeline spans during the block and write them to
+    ``out`` as Chrome trace JSON; yields the list the spans land in
+    (filled on exit).  A no-op without ``out``.
+
+    The one span writer, behind every ``--trace-out`` and
+    ``repro trace --out``.  The file is written even when the block
+    fails — a trace of the run that misbehaved is the one worth
+    keeping.
+    """
+    spans = []
+    if not out:
+        yield spans
+        return
+    from repro.obs import trace
+    trace.enable_tracing()
+    try:
+        yield spans
+    finally:
+        spans.extend(trace.drain_spans())
+        trace.write_chrome_trace(out, spans)
+        print(f"{len(spans)} spans -> {out}", file=sys.stderr,
+              flush=True)
+
+
 def _record_ledger(args, command, summary):
     """Best-effort ledger append for a finished measured run.
 
@@ -683,54 +628,126 @@ def _record_ledger(args, command, summary):
                   cache_dir=getattr(args, "cache_dir", None))
 
 
-def _check_shard_output(args):
-    """--shard needs a durable output: the cache or a --json payload.
+def _emit(args, payload, render):
+    """Print a report: its JSON under ``--json``, else
+    ``render(payload)``; ``--out FILE`` also writes the JSON to FILE
+    (the CI artifact).  For ``diff``, ``chaos`` and ``bench``."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    print(json.dumps(payload, indent=2) if args.json
+          else render(payload))
 
-    A shard's contribution lives on only through the shared cache or
-    a mergeable payload; with neither, hours of mapping would print
-    a table and evaporate.
-    """
-    if args.no_cache and not args.json:
-        raise ReproError(
-            "--shard with --no-cache discards all results: "
-            "add --json (mergeable payload) or drop --no-cache")
 
-
-def _run_shard(args, cache, specs, shard, label=""):
-    """Run one shard of ``specs``; emits a mergeable ``--json``
-    payload or a partial-sweep table.  Shared by ``sweep --shard``,
-    ``figure --shard`` and ``explore --shard`` so their payloads
-    cannot drift apart.  ``--cache-balanced`` charges already-cached
-    specs ~zero cost when carving the shard, so warm re-runs split
-    the residual work evenly — coherent only while every cooperating
-    producer sees the same shared cache."""
+def _print_sweep(args, result, payload=None, heading=None):
+    """The tail of every command that yields a sweep: under
+    ``--json`` the payload (default: ``result``'s own), else the
+    table below an optional ``heading``; exit 1 if a point crashed."""
     from repro.eval.reporting import render_sweep
-    from repro.runtime.pool import run_sweep
-    from repro.runtime.shard import (
-        shard_indices, sweep_fingerprint, sweep_json_payload)
+    from repro.runtime.shard import sweep_json_payload
 
-    balance_cache = cache if getattr(args, "cache_balanced", False) \
-        else None
-    if getattr(args, "cache_balanced", False) and cache is None:
-        raise ReproError(
-            "--cache-balanced balances against the shared cache; "
-            "drop --no-cache")
-    positions = shard_indices(specs, *shard, cache=balance_cache)
-    result = run_sweep([specs[i] for i in positions],
-                       workers=args.workers, cache=cache,
-                       progress=_progress(args),
-                       point_timeout=getattr(args, "point_timeout",
-                                             None))
     if args.json:
-        print(json.dumps(sweep_json_payload(
-            result, shard=shard, positions=positions,
-            spec_total=len(specs),
-            fingerprint=sweep_fingerprint(specs)), indent=2))
+        print(json.dumps(payload if payload is not None
+                         else sweep_json_payload(result), indent=2))
     else:
-        print(f"{label}shard {shard[0]}/{shard[1]}: "
-              f"{len(positions)} of {len(specs)} points")
+        if heading:
+            print(heading)
         print(render_sweep(result))
     return 1 if result.crashed else 0
+
+
+def _split_axis(value):
+    """Comma-separated CLI axis -> tuple, or None (use the default)."""
+    return tuple(value.split(",")) if value else None
+
+
+def _sweep_specs(args):
+    """The specs the ``--kernels/--configs/--variants`` axes (plus
+    ``--seed`` and, where the command has it, ``--backend``) name —
+    validated, so a typo fails before any work starts."""
+    from repro.runtime.sweep import validated_sweep_specs
+
+    return validated_sweep_specs(kernels=_split_axis(args.kernels),
+                                 configs=_split_axis(args.configs),
+                                 variants=_split_axis(args.variants),
+                                 seed=args.seed,
+                                 backend=getattr(args, "backend", None))
+
+
+def _cache_from(args):
+    """ResultCache honouring --no-cache/--cache-dir (None = disabled).
+
+    ``sweep --clear-cache`` wipes the directory here — even under
+    ``--no-cache`` ("clear it, then recompute without it") — so
+    commands open the cache only once every argument is validated:
+    a typo must not cost the user their whole accumulated cache.
+    """
+    from repro.runtime.cache import ResultCache
+
+    cache = None if getattr(args, "no_cache", False) \
+        else ResultCache(getattr(args, "cache_dir", None))
+    if getattr(args, "clear_cache", False):
+        target = cache if cache is not None \
+            else ResultCache(args.cache_dir)
+        removed = target.clear()
+        # Status narration, not a result: under --json stdout must
+        # hold nothing but the payload.
+        print(f"cleared {removed} cache entries from {target.directory}",
+              file=sys.stderr if args.json else sys.stdout)
+    return cache
+
+
+def _run_sweep(args, specs, cache):
+    """Run ``specs`` with the command's workers, progress and point
+    deadline: the sweep behind ``sweep``, ``trace`` and every
+    ``--shard`` run."""
+    from repro.runtime.pool import run_sweep
+
+    return run_sweep(specs, workers=args.workers, cache=cache,
+                     progress=_progress(args),
+                     point_timeout=getattr(args, "point_timeout", None))
+
+
+def _run_shard(args, specs, label=""):
+    """Run the ``--shard I/N`` slice of ``specs``: a mergeable
+    ``--json`` payload or a partial-sweep table.
+
+    Serves ``sweep``, ``figure`` and ``explore``, and carves with the
+    :class:`~repro.runtime.shard.SweepRequest` the server uses, so a
+    shard computed here merges with shards served over HTTP.
+    ``--cache-balanced`` charges already-cached specs ~zero cost when
+    carving, so warm re-runs split the residual work evenly —
+    coherent only while every cooperating producer sees the same
+    shared cache.
+    """
+    from repro.runtime.shard import (
+        SweepRequest, parse_shard, sweep_json_payload)
+
+    shard = parse_shard(args.shard)
+    if args.no_cache:
+        # A shard's contribution lives on only through the shared
+        # cache or a mergeable payload; with neither, hours of
+        # mapping would print a table and evaporate.
+        if not args.json:
+            raise ReproError(
+                "--shard with --no-cache discards all results: "
+                "add --json (mergeable payload) or drop --no-cache")
+        if args.cache_balanced:
+            raise ReproError(
+                "--cache-balanced balances against the shared cache; "
+                "drop --no-cache")
+    cache = _cache_from(args)
+    request = SweepRequest(specs, shard=shard,
+                           cache=cache if args.cache_balanced else None)
+    result = _run_sweep(args, request.specs, cache)
+    payload = sweep_json_payload(
+        result, shard=shard, positions=request.positions,
+        spec_total=request.spec_total,
+        fingerprint=request.fingerprint) if args.json else None
+    return _print_sweep(args, result, payload, heading=(
+        f"{label}shard {shard[0]}/{shard[1]}: "
+        f"{len(request.specs)} of {request.spec_total} points"))
 
 
 def _map(args):
@@ -765,14 +782,6 @@ def _run(args):
     return 0
 
 
-def _cache_from(args):
-    """ResultCache honouring --no-cache/--cache-dir (None = disabled)."""
-    if getattr(args, "no_cache", False):
-        return None
-    from repro.runtime.cache import ResultCache
-    return ResultCache(getattr(args, "cache_dir", None))
-
-
 def _energy(args):
     from repro.eval.experiments import (
         PointSpec, cpu_point, execute_spec, prefetch_points)
@@ -801,83 +810,46 @@ def _area(_args):
     return 0
 
 
-def _split_axis(value):
-    """Comma-separated CLI axis -> tuple, or None (use the default)."""
-    return tuple(value.split(",")) if value else None
-
-
 def _sweep(args):
-    from repro.eval.reporting import render_sweep
-    from repro.runtime.sweep import validated_sweep_specs
+    from repro.runtime.stream import resolve_point_timeout
 
-    # Every axis — and the shard string below — is validated before
-    # any destructive action: a typo must not cost the user their
-    # whole accumulated cache.
-    specs = validated_sweep_specs(kernels=_split_axis(args.kernels),
-                                  configs=_split_axis(args.configs),
-                                  variants=_split_axis(args.variants),
-                                  seed=args.seed,
-                                  backend=args.backend)
-    if args.flame_out and (args.workers > 1 or args.shard):
+    specs = _sweep_specs(args)
+    if args.flame_out and (
+            args.workers > 1 or args.shard
+            or resolve_point_timeout(args.point_timeout) is not None):
         # The sampler sees the driving thread only: with worker
-        # processes it would record a pool waiting, and a shard
+        # processes — which a point deadline forces even at one
+        # worker — it would record a pool waiting, and a shard
         # slice is partial by construction.
         raise ReproError("--flame-out samples the driving thread: "
-                         "run the sweep with --workers 1 and "
-                         "without --shard")
-    shard = None
+                         "run the sweep with --workers 1, without "
+                         "--shard and without a point deadline "
+                         "(--point-timeout / $REPRO_POINT_TIMEOUT)")
     if args.shard:
-        from repro.runtime.shard import parse_shard
-        shard = parse_shard(args.shard)
-        _check_shard_output(args)
-    cache = _cache_from(args)
-    if args.clear_cache:
-        # Wipe even under --no-cache ("clear it, then recompute
-        # without it") via a throwaway handle on the same directory.
-        from repro.runtime.cache import ResultCache
-        target = cache if cache is not None \
-            else ResultCache(getattr(args, "cache_dir", None))
-        removed = target.clear()
-        # Status narration, not a result: under --json stdout must
-        # hold nothing but the payload.
-        print(f"cleared {removed} cache entries from {target.directory}",
-              file=sys.stderr if args.json else sys.stdout)
-    if shard is not None:
         # Shard slices are partial by construction — they are not
         # recorded in the ledger, whose trends compare whole runs.
-        return _run_shard(args, cache, specs, shard)
-    from repro.runtime.pool import run_sweep
-    sampling = _sampling(args.flame_out) if args.flame_out \
-        else contextlib.nullcontext()
-    with sampling:
-        result = run_sweep(specs, workers=args.workers, cache=cache,
-                           progress=_progress(args),
-                           point_timeout=args.point_timeout)
+        return _run_shard(args, specs)
+    cache = _cache_from(args)
+    with (_sampling(args.flame_out) if args.flame_out
+          else contextlib.nullcontext()):
+        result = _run_sweep(args, specs, cache)
     from repro.perf.ledger import sweep_summary
     _record_ledger(args, "sweep", sweep_summary(result))
-    if args.json:
-        from repro.runtime.shard import sweep_json_payload
-        print(json.dumps(sweep_json_payload(result), indent=2))
-    else:
-        print(render_sweep(result))
-        if cache is not None:
-            print(f"cache: {cache.directory} ({cache.hits} hits, "
-                  f"{cache.stores} new entries)")
-    return 1 if result.crashed else 0
+    status = _print_sweep(args, result)
+    if cache is not None and not args.json:
+        print(f"cache: {cache.directory} ({cache.hits} hits, "
+              f"{cache.stores} new entries)")
+    return status
 
 
 def _diff(args):
     from repro.runtime.diff import (
         DEFAULT_ABS_TOL, DEFAULT_REL_TOL, run_diff,
         validated_diff_backends)
-    from repro.runtime.sweep import validated_sweep_specs
 
     backends = validated_diff_backends(
         _split_axis(args.backends))
-    specs = validated_sweep_specs(kernels=_split_axis(args.kernels),
-                                  configs=_split_axis(args.configs),
-                                  variants=_split_axis(args.variants),
-                                  seed=args.seed)
+    specs = _sweep_specs(args)
     abs_tol = args.abs_tol if args.abs_tol is not None \
         else DEFAULT_ABS_TOL
     rel_tol = args.rel_tol if args.rel_tol is not None \
@@ -888,22 +860,18 @@ def _diff(args):
                       progress=_progress(args))
     from repro.perf.ledger import diff_summary
     _record_ledger(args, "diff", diff_summary(result))
-    payload = result.to_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for record in result.mismatches:
-            status = record.classify(abs_tol, rel_tol)
-            print(f"  {status:8s} {record.describe()}: "
-                  f"{record.backend_a}={record.cycles_a} "
-                  f"{record.backend_b}={record.cycles_b} "
-                  f"output_match={record.digest_match} "
-                  f"errors=({record.error_a!r}, {record.error_b!r})")
-        print(result.summary())
+
+    def render(_payload):
+        return "\n".join(
+            [f"  {record.classify(abs_tol, rel_tol):8s} "
+             f"{record.describe()}: "
+             f"{record.backend_a}={record.cycles_a} "
+             f"{record.backend_b}={record.cycles_b} "
+             f"output_match={record.digest_match} "
+             f"errors=({record.error_a!r}, {record.error_b!r})"
+             for record in result.mismatches] + [result.summary()])
+
+    _emit(args, result.to_json(), render)
     # Exit 4 is the differential verdict, distinct from usage errors
     # (1) and unmappable (2) — CI keys off it.
     return 0 if result.ok else 4
@@ -911,26 +879,13 @@ def _diff(args):
 
 def _chaos(args):
     from repro.chaos.harness import render_report, run_chaos
-    from repro.runtime.sweep import validated_sweep_specs
 
-    specs = validated_sweep_specs(kernels=_split_axis(args.kernels),
-                                  configs=_split_axis(args.configs),
-                                  variants=_split_axis(args.variants),
-                                  seed=args.seed,
-                                  backend=args.backend)
-    report = run_chaos(specs, faults=args.faults,
+    report = run_chaos(_sweep_specs(args), faults=args.faults,
                        workers=args.workers,
                        point_timeout=args.point_timeout,
                        allow_quarantine=args.allow_quarantine,
                        progress=_progress(args))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_report(report))
+    _emit(args, report, render_report)
     # Exit 5 is the chaos verdict — the faulted sweep failed to
     # converge to the clean answer — distinct from usage errors (1),
     # unmappable (2), bench regressions (3) and diff mismatches (4).
@@ -938,15 +893,9 @@ def _chaos(args):
 
 
 def _merge(args):
-    from repro.eval.reporting import render_sweep
-    from repro.runtime.shard import merge_sweep_files, sweep_json_payload
+    from repro.runtime.shard import merge_sweep_files
 
-    result = merge_sweep_files(args.files)
-    if args.json:
-        print(json.dumps(sweep_json_payload(result), indent=2))
-    else:
-        print(render_sweep(result))
-    return 1 if result.crashed else 0
+    return _print_sweep(args, merge_sweep_files(args.files))
 
 
 def _format_bytes(n):
@@ -994,43 +943,28 @@ def _cache(args):
     return 0
 
 
-def _figure_shard(args, cache):
-    """Distributed prewarm: compute one shard of a figure's points.
-
-    Emits the partial sweep (table or ``--json`` payload) instead of
-    the figure — the shards fill a shared cache and/or merge into the
-    full point set; the figure itself renders from any machine that
-    sees all of them.
-    """
-    from repro.eval.experiments import figure_point_specs
-    from repro.runtime.shard import parse_shard
-
-    specs = figure_point_specs(args.name)
-    if not specs:
-        raise ReproError(
-            f"{args.name} has no prewarmable experiment points to "
-            f"shard; only the latency figures (fig6-8), fig10 and "
-            f"table2 have one")
-    shard = parse_shard(args.shard)
-    _check_shard_output(args)
-    return _run_shard(args, cache, specs, shard,
-                      label=f"{args.name} ")
-
-
 def _figure(args):
     from repro.eval import experiments, reporting
-    cache = _cache_from(args)
-    workers = args.workers
     if args.shard:
-        return _figure_shard(args, cache)
+        # Distributed prewarm: the shards fill a shared cache and/or
+        # merge into the full point set; the figure itself renders
+        # from any machine that sees all of them.
+        specs = experiments.figure_point_specs(args.name)
+        if not specs:
+            raise ReproError(
+                f"{args.name} has no prewarmable experiment points to "
+                f"shard; only the latency figures (fig6-8), fig10 and "
+                f"table2 have one")
+        return _run_shard(args, specs, label=f"{args.name} ")
+    # How the mapping-bound figures run their points.
+    runtime = dict(workers=args.workers, cache=_cache_from(args),
+                   progress=_progress(args))
     if args.name == "fig5":
         data = experiments.fig5_data()
         render = reporting.render_fig5
     elif args.name in experiments.FIGURE_VARIANTS:
         variant = experiments.FIGURE_VARIANTS[args.name]
-        data = experiments.latency_figure_data(
-            variant, workers=workers, cache=cache,
-            progress=_progress(args))
+        data = experiments.latency_figure_data(variant, **runtime)
 
         def render(chart):
             return reporting.render_latency_figure(
@@ -1042,15 +976,13 @@ def _figure(args):
         data = experiments.fig9_data()
         render = reporting.render_fig9
     elif args.name == "fig10":
-        data = experiments.fig10_data(workers=workers, cache=cache,
-                                      progress=_progress(args))
+        data = experiments.fig10_data(**runtime)
         render = reporting.render_fig10
     elif args.name == "fig11":
         data = experiments.fig11_data()
         render = reporting.render_fig11
     else:
-        data = experiments.table2_data(workers=workers, cache=cache,
-                                       progress=_progress(args))
+        data = experiments.table2_data(**runtime)
         render = reporting.render_table2
     print(json.dumps(data, indent=2) if args.json else render(data))
     return 0
@@ -1084,18 +1016,15 @@ def _explore(args):
         objectives=_split_axis(args.objectives),
         rows=args.rows, cols=args.cols,
         backend=args.backend)
-    cache = _cache_from(args)
     if args.shard:
-        from repro.runtime.shard import parse_shard
-        shard = parse_shard(args.shard)
-        _check_shard_output(args)
         # The prewarm unit is the exhaustive grid: shards fill the
         # shared cache; any strategy run afterwards resolves its
         # requests from hits.
-        return _run_shard(args, cache, exploration_grid_specs(config),
-                          shard, label="explore ")
+        return _run_shard(args, exploration_grid_specs(config),
+                          label="explore ")
     result = run_exploration(config, workers=args.workers,
-                             cache=cache, progress=_progress(args))
+                             cache=_cache_from(args),
+                             progress=_progress(args))
     payload = result.payload()
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -1137,37 +1066,20 @@ def _bench(args):
         cases = default_cases(kernels=_split_axis(args.kernels),
                               configs=_split_axis(args.configs),
                               variants=_split_axis(args.variants))
-    progress = None if _quiet_requested(args) else (
-        lambda line: print(line, file=sys.stderr, flush=True))
-    sampling = _sampling(args.flame_out) if args.flame_out \
-        else contextlib.nullcontext()
-    with sampling:
+    with (_sampling(args.flame_out) if args.flame_out
+          else contextlib.nullcontext()):
         results = run_bench(cases, warmup=args.warmup,
-                            repeat=args.repeat,
-                            reducer=args.reducer, progress=progress)
+                            repeat=args.repeat, reducer=args.reducer,
+                            progress=_progress(args, describe=str))
     payload = bench_payload(results, args.warmup, args.repeat,
                             args.reducer,
                             created_unix=int(_time.time()))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_bench(payload))
-    status = 0
-    # The comparison is narration under --json (stdout holds the
-    # document); regressions still gate the exit code.
-    out = sys.stderr if args.json else sys.stdout
+    _emit(args, payload, render_bench)
+    # Each gate is (heading, rows, regressions).
+    gates = []
     if args.compare:
-        baseline = load_bench_file(args.compare)
-        rows, regressions = compare_benchmarks(payload, baseline,
-                                               max_regress)
-        print(render_comparison(rows, regressions, max_regress),
-              file=out)
-        if regressions:
-            status = 3
+        gates.append(("", *compare_benchmarks(
+            payload, load_bench_file(args.compare), max_regress)))
     if args.compare_ledger:
         import platform as _platform
 
@@ -1181,15 +1093,18 @@ def _bench(args):
         rows, regressions, used = ledger.compare_to_ledger(
             payload, entries, window=args.window,
             max_regress_pct=max_regress)
-        print(f"ledger gate: rolling median of the last {used} "
-              f"same-host bench run(s)", file=out)
-        print(render_comparison(rows, regressions, max_regress),
-              file=out)
-        if regressions:
-            status = 3
+        gates.append((f"ledger gate: rolling median of the last "
+                      f"{used} same-host bench run(s)\n", rows,
+                      regressions))
+    for heading, rows, regressions in gates:
+        # The comparison is narration under --json (stdout holds the
+        # document); regressions still gate the exit code.
+        print(heading + render_comparison(rows, regressions,
+                                          max_regress),
+              file=sys.stderr if args.json else sys.stdout)
     from repro.perf.ledger import bench_summary
     _record_ledger(args, "bench", bench_summary(payload))
-    return status
+    return 3 if any(regressions for _, _, regressions in gates) else 0
 
 
 def _print_analysis(spans, as_json):
@@ -1200,30 +1115,17 @@ def _print_analysis(spans, as_json):
 
 
 def _trace(args):
-    from repro.obs import trace
-    from repro.runtime.pool import run_sweep
-    from repro.runtime.sweep import validated_sweep_specs
+    from repro.obs import analyze
 
     if args.from_file:
         # Post-mortem mode: analyse a saved --trace-out file without
         # running anything.
-        from repro.obs import analyze
         _print_analysis(analyze.load_trace_file(args.from_file),
                         args.json)
         return 0
-    specs = validated_sweep_specs(kernels=_split_axis(args.kernels),
-                                  configs=_split_axis(args.configs),
-                                  variants=_split_axis(args.variants),
-                                  seed=args.seed,
-                                  backend=args.backend)
-    trace.enable_tracing()
-    result = run_sweep(specs, workers=args.workers,
-                       cache=_cache_from(args),
-                       progress=_progress(args))
-    spans = trace.drain_spans()
-    out = trace.write_chrome_trace(args.out, spans)
-    print(f"{len(spans)} spans from {len(specs)} point(s) -> {out}",
-          file=sys.stderr, flush=True)
+    specs = _sweep_specs(args)
+    with _traced(args.out) as spans:
+        result = _run_sweep(args, specs, _cache_from(args))
     if args.analyze:
         _print_analysis(spans, args.json)
     return 1 if result.crashed else 0
@@ -1421,9 +1323,7 @@ def _submit_request(args):
 
 
 def _submit(args):
-    from repro.eval.reporting import render_sweep
-    from repro.runtime.shard import (
-        sweep_json_payload, sweep_result_from_payload)
+    from repro.runtime.shard import parse_shard, sweep_result_from_payload
     from repro.serve.client import (
         SweepClient, describe_record, run_distributed)
 
@@ -1432,7 +1332,6 @@ def _submit(args):
     if not servers:
         raise ReproError("no server URLs given")
     request = _submit_request(args)
-    quiet = _quiet_requested(args)
     token = args.token or os.environ.get("REPRO_SERVE_TOKEN") or None
     client_kwargs = {"timeout": args.timeout, "token": token}
     if args.idle_timeout is not None:
@@ -1443,44 +1342,26 @@ def _submit(args):
             raise ReproError(
                 "--shard picks one slice by hand; --shard-across "
                 "shards over the servers — use one or the other")
-
-        def narrate(record, done, total, url):
-            print(describe_record(record, done, total, origin=url),
-                  file=sys.stderr, flush=True)
-
-        dispatch_kwargs = dict(client_kwargs)
         if args.retries is not None:
-            dispatch_kwargs["max_attempts"] = args.retries
+            client_kwargs["max_attempts"] = args.retries
         result, _ = run_distributed(
             servers, request,
-            progress=None if quiet else narrate, **dispatch_kwargs)
-        if args.json:
-            print(json.dumps(sweep_json_payload(result), indent=2))
-        else:
-            print(render_sweep(result))
-        return 1 if result.crashed else 0
+            progress=_progress(args, lambda record, done, total, url:
+                               describe_record(record, done, total,
+                                               origin=url)),
+            **client_kwargs)
+        return _print_sweep(args, result)
 
     if len(servers) > 1:
         raise ReproError(
             "several --server URLs only make sense with "
             "--shard-across; pick one URL otherwise")
     if args.shard:
-        from repro.runtime.shard import parse_shard
         request["shard"] = list(parse_shard(args.shard))
-
-    def narrate_one(record, done, total):
-        print(describe_record(record, done, total),
-              file=sys.stderr, flush=True)
-
-    client = SweepClient(servers[0], **client_kwargs)
-    payload = client.run(request,
-                         progress=None if quiet else narrate_one)
-    result = sweep_result_from_payload(payload)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_sweep(result))
-    return 1 if result.crashed else 0
+    payload = SweepClient(servers[0], **client_kwargs).run(
+        request, progress=_progress(args, describe_record))
+    return _print_sweep(args, sweep_result_from_payload(payload),
+                        payload)
 
 
 def main(argv=None):
@@ -1493,27 +1374,16 @@ def main(argv=None):
                 "profile": _profile, "trace": _trace,
                 "metrics": _metrics, "history": _history,
                 "report": _report, "chaos": _chaos}
-    # ``--trace-out`` (sweep/diff) records the whole command and
-    # dumps whatever landed even on a failing exit — a trace of the
-    # run that misbehaved is the one worth keeping.
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from repro.obs import trace
-        trace.enable_tracing()
-    try:
-        return handlers[args.command](args)
-    except UnmappableError as error:
-        print(f"no mapping: {error}", file=sys.stderr)
-        return 2
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if trace_out:
-            spans = trace.drain_spans()
-            trace.write_chrome_trace(trace_out, spans)
-            print(f"{len(spans)} spans -> {trace_out}",
-                  file=sys.stderr, flush=True)
+    # ``--trace-out`` records the whole command, failing exits too.
+    with _traced(getattr(args, "trace_out", None)):
+        try:
+            return handlers[args.command](args)
+        except UnmappableError as error:
+            print(f"no mapping: {error}", file=sys.stderr)
+            return 2
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

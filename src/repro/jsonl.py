@@ -11,9 +11,16 @@ line holds; this module owns how it reaches and leaves the file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
+import shutil
+import tempfile
+
+
+def _line(entry):
+    return json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def append(entry, path):
@@ -25,13 +32,36 @@ def append(entry, path):
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        os.write(fd, (line + "\n").encode())
+        os.write(fd, _line(entry).encode())
     finally:
         os.close(fd)
     return path
+
+
+def rewrite(entries, path):
+    """Atomically replace the file with ``entries``, one line each.
+
+    The lines go to a temporary file in the same directory, which
+    ``os.replace`` then moves over ``path``: a reader — or a crash —
+    sees the old file or the new one, never a mix.  On failure the
+    temporary is removed, ``path`` is left as it was and the
+    ``OSError`` propagates.  Appenders must be held off meanwhile
+    (their lines would land in the replaced file).
+    """
+    path = pathlib.Path(path)
+    fd, temporary = tempfile.mkstemp(dir=path.parent,
+                                     prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(_line(entry) for entry in entries)
+        shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise
 
 
 def read(path, kind, valid=None):

@@ -175,6 +175,41 @@ def shard_specs(specs, index, total, cache=None):
             for i in shard_indices(specs, index, total, cache=cache)]
 
 
+class SweepRequest:
+    """A validated sweep: the specs to run and their identity.
+
+    ``full_specs`` is the complete sweep the request was carved from;
+    ``positions``/``specs`` are the slice this run actually computes
+    (the identity when unsharded).  Carrying both lets the finished
+    run emit a payload that merges with the sibling shards computed
+    elsewhere — ``repro sweep/figure/explore --shard`` and
+    ``repro serve`` jobs all carve with this type.  ``cache`` opts the
+    carving in to cache-aware balancing (see :func:`shard_indices`).
+    """
+
+    kind = "sweep"
+
+    def __init__(self, full_specs, shard=None, label="sweep",
+                 priority=0, cache=None):
+        if not full_specs:
+            raise ReproError("request resolves to zero specs")
+        self.full_specs = [spec.resolve() for spec in full_specs]
+        self.shard = shard
+        self.label = label
+        self.priority = priority
+        if shard is not None:
+            self.positions = shard_indices(self.full_specs, *shard,
+                                           cache=cache)
+        else:
+            self.positions = list(range(len(self.full_specs)))
+        self.specs = [self.full_specs[i] for i in self.positions]
+        self.fingerprint = sweep_fingerprint(self.full_specs)
+
+    @property
+    def spec_total(self):
+        return len(self.full_specs)
+
+
 # ----------------------------------------------------------------------
 # JSON payloads
 # ----------------------------------------------------------------------

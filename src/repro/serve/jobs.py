@@ -34,7 +34,8 @@ told "busy" can retry a survivor; a request buried in an unbounded
 queue just times out minutes later with no information.
 
 Two kinds of job share that machinery.  A *sweep* job
-(:class:`SweepRequest`) is a fixed spec list; an *exploration* job
+(:class:`~repro.runtime.shard.SweepRequest`, the type CLI shard runs
+carve with too) is a fixed spec list; an *exploration* job
 (:class:`ExplorationRequest`, ``POST /v1/explorations``) runs a
 :mod:`repro.dse` search whose strategy decides point by point what to
 evaluate — its record stream carries the points in evaluation order,
@@ -63,11 +64,10 @@ from repro.errors import ReproError
 from repro.obs import get_logger, metrics, trace
 from repro.serve.journal import TERMINAL_EVENTS
 from repro.runtime.shard import (
+    SweepRequest,
     parse_shard,
-    shard_indices,
     spec_from_json,
     spec_to_json,
-    sweep_fingerprint,
     sweep_json_payload,
 )
 from repro.runtime.sweep import (
@@ -137,39 +137,7 @@ def validated_priority(value):
     return value
 
 
-class SweepRequest:
-    """A validated submission: the specs to run and their identity.
-
-    ``full_specs`` is the complete sweep the request was carved from;
-    ``positions``/``specs`` are the slice this job actually computes
-    (the identity when unsharded).  Carrying both lets the finished
-    job emit a payload that merges with the sibling shards computed
-    by *other* servers — the distributed-dispatch contract.
-    """
-
-    kind = "sweep"
-
-    def __init__(self, full_specs, shard=None, label="sweep",
-                 priority=0):
-        if not full_specs:
-            raise RequestError("request resolves to zero specs")
-        self.full_specs = [spec.resolve() for spec in full_specs]
-        self.shard = shard
-        self.label = label
-        self.priority = priority
-        if shard is not None:
-            self.positions = shard_indices(self.full_specs, *shard)
-        else:
-            self.positions = list(range(len(self.full_specs)))
-        self.specs = [self.full_specs[i] for i in self.positions]
-        self.fingerprint = sweep_fingerprint(self.full_specs)
-
-    @property
-    def spec_total(self):
-        return len(self.full_specs)
-
-
-class ExplorationRequest:
+class ExplorationRequest(SweepRequest):
     """A validated ``POST /v1/explorations`` submission.
 
     Wraps one :class:`~repro.dse.runner.ExplorationConfig`.  The
@@ -185,21 +153,12 @@ class ExplorationRequest:
     def __init__(self, config, priority=0):
         from repro.dse.runner import exploration_grid_specs
 
-        self.config = config
-        self.full_specs = [spec.resolve()
-                           for spec in exploration_grid_specs(config)]
-        if not self.full_specs:
+        specs = exploration_grid_specs(config)
+        if not specs:
             raise RequestError("exploration resolves to zero points")
-        self.shard = None
-        self.label = f"explore:{config.strategy}"
-        self.priority = priority
-        self.positions = list(range(len(self.full_specs)))
-        self.specs = self.full_specs
-        self.fingerprint = sweep_fingerprint(self.full_specs)
-
-    @property
-    def spec_total(self):
-        return len(self.full_specs)
+        super().__init__(specs, label=f"explore:{config.strategy}",
+                         priority=priority)
+        self.config = config
 
 
 #: ``POST /v1/explorations`` body keys (all optional).
@@ -744,8 +703,9 @@ class JobManager:
         state, under its original ID.
 
         The durable half of ``repro serve --resume``: the journal is
-        reduced to the last event per job; ``finished`` / ``failed``
-        jobs are left to rest, anything still ``submitted`` or
+        reduced to the last event per job (and its file compacted to
+        the unfinished jobs); ``finished`` / ``failed`` jobs are left
+        to rest, anything still ``submitted`` or
         ``started`` when the previous server died is resubmitted by
         re-resolving its recorded request body.  Jobs whose body was
         never recorded, no longer validates, or trips admission
@@ -759,7 +719,7 @@ class JobManager:
         if self.journal is None:
             self.replay_stats = stats
             return stats
-        states, skipped = self.journal.replay()
+        states, skipped = self.journal.replay(compact=True)
         stats["journaled"] = len(states)
         stats["skipped_lines"] = skipped
         for job_id, state in states.items():

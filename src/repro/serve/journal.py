@@ -22,7 +22,8 @@ client that noted ``job-3-4fe21a09`` before the crash re-attaches
 after it.  ``started`` / ``finished`` / ``failed`` are bare
 transitions; :meth:`JobJournal.replay` reduces the log to the last
 event per job, and only jobs whose last event is non-terminal are
-requeued.
+requeued.  A resume first compacts the file down to those jobs'
+lines, so the journal stays as small as the work a crash can lose.
 
 ``REPRO_JOB_JOURNAL=0`` opts out, mirroring ``REPRO_LEDGER=0``.
 """
@@ -107,7 +108,7 @@ class JobJournal:
             return None
         return entry
 
-    def replay(self):
+    def replay(self, compact=False):
         """``(jobs, skipped)``: last known state per journaled job.
 
         ``jobs`` maps ``job_id`` to a dict with the last ``event``
@@ -115,17 +116,34 @@ class JobJournal:
         ``job_kind``, ``priority``) — enough to resubmit.  Malformed
         or foreign lines are counted in ``skipped`` and ignored, the
         same reader contract as the run ledger.
+
+        ``compact`` (what ``serve --resume`` passes) then rewrites the
+        file atomically, under the append lock, down to the lines of
+        jobs whose last event is not terminal — the jobs a resume
+        still needs — dropping finished jobs and skipped lines, so the
+        file and the replay time stay bounded.  A failed rewrite
+        leaves the file as it was and counts a write error.
         """
-        entries, skipped = jsonl.read(
-            self.path, "job-event",
-            valid=lambda entry: entry.get("event") in EVENTS
-            and isinstance(entry.get("job_id"), str))
-        jobs = {}
-        for entry in entries:
-            state = jobs.setdefault(entry["job_id"], {})
-            state["event"] = entry["event"]
-            if entry["event"] == "submitted":
-                state["job_kind"] = entry.get("job_kind", "sweep")
-                state["body"] = entry.get("body")
-                state["priority"] = entry.get("priority", 0)
+        with self._lock:
+            entries, skipped = jsonl.read(
+                self.path, "job-event",
+                valid=lambda entry: entry.get("event") in EVENTS
+                and isinstance(entry.get("job_id"), str))
+            jobs = {}
+            for entry in entries:
+                state = jobs.setdefault(entry["job_id"], {})
+                state["event"] = entry["event"]
+                if entry["event"] == "submitted":
+                    state["job_kind"] = entry.get("job_kind", "sweep")
+                    state["body"] = entry.get("body")
+                    state["priority"] = entry.get("priority", 0)
+            if compact:
+                live = [entry for entry in entries
+                        if jobs[entry["job_id"]]["event"]
+                        not in TERMINAL_EVENTS]
+                if skipped or len(live) < len(entries):
+                    try:
+                        jsonl.rewrite(live, self.path)
+                    except OSError:
+                        self.write_errors += 1
         return jobs, skipped

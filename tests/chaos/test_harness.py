@@ -14,6 +14,7 @@ from repro.chaos.harness import (
     render_report,
     run_chaos,
 )
+from repro.cli import main
 from repro.errors import ReproError
 from repro.runtime.sweep import PointSpec
 
@@ -32,6 +33,18 @@ class TestRunChaos:
     def test_empty_plan_is_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="empty fault plan"):
             run_chaos(SPECS, faults="seed=3", base_dir=tmp_path)
+
+    def test_negative_quarantine_allowance_is_rejected_up_front(
+            self, tmp_path, capsys):
+        # No run could pass "at most -1 quarantined points": it is a
+        # usage error (exit 1), raised before any phase writes.
+        with pytest.raises(ReproError, match="allow_quarantine"):
+            run_chaos(SPECS, allow_quarantine=-1, base_dir=tmp_path)
+        assert main(["chaos", "--kernels", "dc_filter", "--configs",
+                     "HOM64", "--variants", "basic", "--quiet",
+                     "--allow-quarantine", "-1"]) == 1
+        assert "error: allow_quarantine" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_crash_and_corrupt_run_heals_to_the_clean_answer(
             self, tmp_path):

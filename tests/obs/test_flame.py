@@ -17,6 +17,7 @@ from repro.obs.flame import (
 )
 from repro.perf import bench_payload
 from repro.perf.ledger import append_entry, ledger_path, make_entry
+from repro.runtime.stream import ENV_POINT_TIMEOUT
 
 SWEEP_ARGS = ["sweep", "--kernels", "dc_filter", "--configs", "HOM64",
               "--variants", "basic", "--quiet"]
@@ -161,6 +162,21 @@ class TestCliFlame:
             "--cache-dir", str(tmp_path),
             "--flame-out", str(target)]) == 1
         assert "--flame-out" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_sweep_flame_out_refuses_a_point_deadline(
+            self, tmp_path, capsys, monkeypatch, source):
+        # A deadline sends even --workers 1 through the executor, so
+        # the sampled thread would only wait on the pool.
+        extra = ["--point-timeout", "60"] if source == "flag" else []
+        if source == "environment":
+            monkeypatch.setenv(ENV_POINT_TIMEOUT, "60")
+        target = tmp_path / "sweep.flame"
+        assert main(SWEEP_ARGS + extra + [
+            "--cache-dir", str(tmp_path),
+            "--flame-out", str(target)]) == 1
+        assert "point deadline" in capsys.readouterr().err
         assert not target.exists()
 
     @pytest.mark.parametrize("command", [SWEEP_ARGS, BENCH_ARGS])

@@ -262,3 +262,77 @@ class TestHealthz:
                 as response:
             payload = json.load(response)
         assert payload["journal"] is None
+
+
+class TestCompaction:
+    """``serve --resume`` rewrites the journal down to unfinished jobs."""
+
+    def lines(self, journal):
+        return journal.path.read_text().splitlines()
+
+    def test_resume_keeps_only_the_pending_jobs_lines(self, fake_compute,
+                                                      journal):
+        for index in range(50):
+            job_id = f"job-done-{index}"
+            journal.record("submitted", job_id, job_kind="sweep",
+                           body=dict(BODY), priority=0)
+            journal.record("started", job_id)
+            journal.record("finished", job_id, status="done",
+                           error=None)
+        journal.record("submitted", "job-pending", job_kind="sweep",
+                       body=dict(BODY), priority=0)
+        with open(journal.path, "a") as handle:
+            handle.write("not json at all\n")
+            handle.write(json.dumps({"kind": "job-event",
+                                     "event": "vanished",
+                                     "job_id": "job-done-0"}) + "\n")
+        journal.record("started", "job-pending")
+        pending = [line for line in self.lines(journal)
+                   if '"job-pending"' in line]
+        manager = JobManager(workers=1, cache=None, journal=journal)
+        try:
+            stats = manager.resume_from_journal()
+            # The stats describe the journal as found, not as kept.
+            assert stats == {"journaled": 51, "requeued": 1,
+                             "completed": 50, "unrestorable": 0,
+                             "skipped_lines": 2}
+            finished(manager.get("job-pending"))
+        finally:
+            manager.close()
+        lines = self.lines(journal)
+        # The original lines first, then the requeued run's own.
+        assert lines[:2] == pending
+        assert {json.loads(line)["job_id"] for line in lines} \
+            == {"job-pending"}
+        assert journal.write_errors == 0
+
+    def test_unrestorable_jobs_keep_their_lines(self, fake_compute,
+                                                journal):
+        journal.record("submitted", "job-bodyless", job_kind="sweep")
+        journal.record("submitted", "job-done", job_kind="sweep",
+                       body=dict(BODY))
+        journal.record("finished", "job-done")
+        kept = self.lines(journal)[:1]
+        manager = JobManager(workers=1, cache=None, journal=journal)
+        try:
+            assert manager.resume_from_journal()["unrestorable"] == 1
+        finally:
+            manager.close()
+        assert self.lines(journal) == kept
+
+    def test_failed_rewrite_leaves_the_file_and_counts(self, journal,
+                                                       monkeypatch):
+        journal.record("submitted", "job-done", job_kind="sweep",
+                       body=dict(BODY))
+        journal.record("finished", "job-done")
+        before = journal.path.read_bytes()
+
+        def refuse(*_args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.jsonl.os.replace", refuse)
+        jobs, skipped = journal.replay(compact=True)
+        assert jobs["job-done"]["event"] == "finished" and skipped == 0
+        assert journal.path.read_bytes() == before
+        assert journal.write_errors == 1
+        assert list(journal.path.parent.iterdir()) == [journal.path]
