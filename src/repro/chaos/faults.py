@@ -230,14 +230,16 @@ def maybe_corrupt_cache_entry(path, key):
 
     Returns True when it corrupted the file, so the harness can log
     it; the cache itself notices nothing special — it just finds an
-    entry that no longer decodes, which is the path under test.
+    entry that no longer decodes, which is the path under test.  A
+    missing entry is left missing: ``r+b`` refuses to create it.
     """
     plan = active_plan()
     if plan is None or not plan.should("cache_corrupt", key):
         return False
     try:
-        with open(path, "wb") as handle:
+        with open(path, "r+b") as handle:
             handle.write(b"\x80repro-chaos-garbage")
+            handle.truncate()
     except OSError:
         return False
     _count_injection("cache_corrupt")

@@ -32,25 +32,28 @@ wrong-shape entries are treated as misses and deleted.
 The cache directory defaults to ``~/.cache/repro`` and is overridden
 with the ``REPRO_CACHE_DIR`` environment variable.
 
-The cache is managed: every entry's mtime is refreshed on hit, so
-recency order is literal file recency, and an optional byte cap —
-``max_bytes=`` or the ``REPRO_CACHE_MAX_BYTES`` environment variable
-(plain bytes or ``512K`` / ``64M`` / ``2G``) — evicts
-least-recently-used entries after each store.  ``stats()`` reports
-size and session counters; ``prune()`` applies a cap on demand;
-``repro cache stats|prune|clear`` exposes all of it on the command
-line.
+The cache is managed: an entry's mtime is refreshed when a process
+reads the entry from disk, so recency order is file recency, and an
+optional byte cap — ``max_bytes=`` or the ``REPRO_CACHE_MAX_BYTES``
+environment variable (plain bytes or ``512K`` / ``64M`` / ``2G``) —
+evicts least-recently-used entries after each store.  ``stats()``
+reports size and session counters; ``prune()`` applies a cap on
+demand; ``repro cache stats|prune|clear`` exposes all of it on the
+command line.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 import re
 import tempfile
+import threading
 
 import repro
 from repro.chaos import maybe_corrupt_cache_entry
@@ -95,6 +98,10 @@ _FORMAT_PREFIX = f"f{CACHE_FORMAT}-"
 _ENTRY_NAME = re.compile(r"(?:f\d+-)?[0-9a-f]{64}\.(?:pkl|json)")
 
 _BYTE_SUFFIXES = {"K": 1024, "M": 1024 ** 2, "G": 1024 ** 3}
+
+#: Points one :class:`ResultCache` keeps in memory after reading
+#: them, and keys :func:`point_key` remembers (the paper grid is 140).
+MEMORY_POINTS = 4096
 
 
 def default_cache_dir():
@@ -153,7 +160,10 @@ def spec_payload(spec):
         "kernel": spec.kernel_name,
         "config": spec.config_name,
         "variant": spec.variant,
-        "options": dataclasses.asdict(spec.options),
+        # Every FlowOptions field is a scalar, so this is asdict
+        # without its deep copy.
+        "options": {field.name: getattr(spec.options, field.name)
+                    for field in dataclasses.fields(spec.options)},
         "seed": spec.seed,
         "cm_depths": (list(spec.cm_depths)
                       if spec.cm_depths is not None else None),
@@ -169,11 +179,18 @@ def point_key(spec, version=None):
     Two specs that describe the same computation hash identically
     (``options=None`` is resolved to the variant's preset first);
     any field that could change the outcome perturbs the digest.
+    Keys are remembered per resolved spec and version, so a sweep's
+    fingerprint and its cache lookups share one computation.
     """
-    payload = dict(spec_payload(spec))
+    return _resolved_key(spec.resolve(), version if version is not None
+                         else repro.__version__)
+
+
+@functools.lru_cache(maxsize=MEMORY_POINTS)
+def _resolved_key(spec, version):
+    payload = spec_payload(spec)
     payload["format"] = CACHE_FORMAT
-    payload["version"] = (version if version is not None
-                          else repro.__version__)
+    payload["version"] = version
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -186,8 +203,9 @@ class ResultCache:
 
     ``max_bytes`` (default: ``$REPRO_CACHE_MAX_BYTES``, else
     unlimited) caps the directory's total entry size; after every
-    store, least-recently-used entries (by mtime — refreshed on every
-    hit) are evicted until the cap holds again.
+    store, least-recently-used entries (by mtime — refreshed when a
+    process reads the entry from disk) are evicted until the cap
+    holds again.
     """
 
     def __init__(self, directory=None, max_bytes=None):
@@ -199,6 +217,11 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.evictions = 0
+        # Points this instance has read from its own entries, least
+        # recently used first; shared by the serve tier's runner
+        # threads, hence the lock.
+        self._memory = collections.OrderedDict()
+        self._memory_lock = threading.Lock()
         # Running size estimate under a cap: seeded by one full scan,
         # bumped per store, re-synced against the directory whenever
         # it crosses the cap.  Overwrites double-count (conservative:
@@ -219,13 +242,30 @@ class ResultCache:
         A corrupt, truncated or wrong-shape entry (e.g. the machine
         died mid-write of a non-atomic filesystem, or a foreign file
         under the entry's name) counts as a miss and is removed.
+
+        A point read from disk is kept in memory (up to
+        :data:`MEMORY_POINTS`, least recently used dropped first), and
+        later reads of its key return that same object without
+        touching a file.  Keys are content-addressed (spec, package
+        version, cache format), so the remembered point is the one
+        the file held even if another process deletes the file
+        later.  A memory hit does not refresh the entry's mtime: the
+        on-disk LRU order records each process's first read, not
+        every hit.
         """
+        with self._memory_lock:
+            point = self._memory.get(key)
+            if point is not None:
+                self._memory.move_to_end(key)
+                self.hits += 1
+        if point is not None:
+            _metrics.CACHE_HITS.inc()
+            return point
         path = self.path_for(key)
-        if path.exists():
-            # Chaos hook: an armed cache_corrupt fault garbles the
-            # entry on disk right here, so the discard path below is
-            # exercised by exactly the failure it guards against.
-            maybe_corrupt_cache_entry(path, key)
+        # Chaos hook: an armed cache_corrupt fault garbles the entry on
+        # disk right here, so the discard path below is exercised by
+        # exactly the failure it guards against.
+        maybe_corrupt_cache_entry(path, key)
         try:
             with open(path, "rb") as handle:
                 point = point_from_json(json.loads(handle.read()))
@@ -249,10 +289,18 @@ class ResultCache:
                          path=str(path),
                          error=f"{type(error).__name__}: {error}")
             return None
-        self.hits += 1
+        with self._memory_lock:
+            self._memory[key] = point
+            while len(self._memory) > MEMORY_POINTS:
+                self._memory.popitem(last=False)
+            self.hits += 1
         _metrics.CACHE_HITS.inc()
         self._touch(path)
         return point
+
+    def _forget(self, key):
+        with self._memory_lock:
+            self._memory.pop(key, None)
 
     def put(self, key, payload):
         """Atomically persist the point ``payload`` under ``key``;
@@ -270,6 +318,7 @@ class ResultCache:
         except BaseException:
             self._discard(pathlib.Path(temp_name))
             raise
+        self._forget(key)
         self.stores += 1
         _metrics.CACHE_STORES.inc()
         if self.max_bytes is not None:
@@ -278,6 +327,7 @@ class ResultCache:
 
     def invalidate(self, key):
         """Drop one entry; True if it existed."""
+        self._forget(key)
         path = self.path_for(key)
         existed = path.exists()
         self._discard(path)
@@ -412,6 +462,8 @@ class ResultCache:
             if total <= cap:
                 break
             self._discard(path)
+            self._forget(path.name.removeprefix(_FORMAT_PREFIX)
+                         .removesuffix(_SUFFIX))
             total -= size
             evicted += 1
         self.evictions += evicted
@@ -432,6 +484,8 @@ class ResultCache:
         """Wipe every entry (and stray temp files); returns the count."""
         removed = 0
         self._tracked_bytes = None
+        with self._memory_lock:
+            self._memory.clear()
         if not self.directory.is_dir():
             return removed
         for path in self.directory.iterdir():

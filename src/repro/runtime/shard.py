@@ -38,6 +38,7 @@ exactly, the heavy mapping and activity objects do not.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import heapq
 import json
@@ -241,19 +242,63 @@ def spec_to_json(spec):
     return spec_payload(spec)
 
 
+#: The type each FlowOptions field's JSON value must have (every field
+#: has a default of its type).
+_OPTION_TYPES = {field.name: type(field.default)
+                 for field in dataclasses.fields(FlowOptions)}
+
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string",
+               list: "a list", dict: "an object"}
+
+
+def _typed(name, value, kind, least=None):
+    """``value`` if it is a ``kind`` (a bool is no int) and at least
+    ``least``; else a ValueError naming the field."""
+    if (not isinstance(value, kind)
+            or (kind is not bool and isinstance(value, bool))
+            or (least is not None and value < least)):
+        bound = f" >= {least}" if least is not None else ""
+        raise ValueError(f"spec field {name!r} must be "
+                         f"{_TYPE_NAMES[kind]}{bound}, got {value!r}")
+    return value
+
+
 def spec_from_json(data):
-    """Rebuild a resolved :class:`PointSpec` from its JSON dict."""
+    """Rebuild a resolved :class:`PointSpec` from its JSON dict.
+
+    Every field must have its JSON type: strings for the names,
+    integers (not booleans) for ``seed``, ``rows``, ``cols`` and the
+    ``cm_depths`` entries, and each ``options`` value the type of its
+    :class:`FlowOptions` field.  A bad field raises a ValueError that
+    names it: a ``true`` seed would compute the ``1`` point under
+    another key, and a ``null`` one would draw its inputs from OS
+    entropy.
+    """
     from repro.runtime.backends import DEFAULT_BACKEND
 
+    names = [_typed(name, data[name], str)
+             for name in ("kernel", "config", "variant")]
     options = data.get("options")
+    if options is not None:
+        unknown = set(_typed("options", options, dict)) - set(_OPTION_TYPES)
+        if unknown:
+            raise ValueError(f"unknown spec options {sorted(unknown)}")
+        options = FlowOptions(**{
+            name: _typed(f"options.{name}", value, _OPTION_TYPES[name])
+            for name, value in options.items()})
     cm_depths = data.get("cm_depths")
+    if cm_depths is not None:
+        cm_depths = tuple(_typed("cm_depths", depth, int, least=1)
+                          for depth in _typed("cm_depths", cm_depths, list))
+    rows, cols = data.get("rows"), data.get("cols")
     return PointSpec(
-        data["kernel"], data["config"], data["variant"],
-        options=FlowOptions(**options) if options is not None else None,
-        seed=data["seed"],
-        cm_depths=tuple(cm_depths) if cm_depths is not None else None,
-        rows=data.get("rows"), cols=data.get("cols"),
-        backend=data.get("backend", DEFAULT_BACKEND),
+        *names, options=options,
+        seed=_typed("seed", data["seed"], int),
+        cm_depths=cm_depths,
+        rows=rows if rows is None else _typed("rows", rows, int, least=1),
+        cols=cols if cols is None else _typed("cols", cols, int, least=1),
+        backend=_typed("backend", data.get("backend", DEFAULT_BACKEND),
+                       str),
     ).resolve()
 
 
@@ -320,7 +365,7 @@ def sweep_result_from_payload(payload):
                 _field(record, "spec", "point record")))
             points.append(point_from_json(
                 _field(record, "point", "point record")))
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise ReproError(
                 f"malformed sweep payload record: {error}") from None
     summary = _field(payload, "summary", "payload")
@@ -562,7 +607,7 @@ def merge_sweep_payloads(payloads, sources=None):
                 _field(record, "spec", context)))
             points.append(point_from_json(
                 _field(record, "point", context)))
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             raise ReproError(
                 f"malformed sweep payload at position {pos} "
                 f"({record_sources[pos]}): {error}") from None

@@ -214,7 +214,8 @@ class SweepHandler(BaseHTTPRequestHandler):
                       status=status)
 
     def _send_json(self, body, status=200, headers=None):
-        data = (json.dumps(body, indent=2) + "\n").encode("utf-8")
+        data = (json.dumps(body, separators=(",", ":"))
+                + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))

@@ -118,3 +118,10 @@ class TestCacheCorruptHook:
         path.write_bytes(b"payload")
         assert maybe_corrupt_cache_entry(path, "key") is True
         assert path.read_bytes() != b"payload"
+
+    def test_armed_hook_leaves_a_missing_entry_missing(self, monkeypatch,
+                                                       tmp_path):
+        monkeypatch.setenv(ENV_FAULT, "cache_corrupt:p=1")
+        path = tmp_path / "entry.json"
+        assert maybe_corrupt_cache_entry(path, "key") is False
+        assert not path.exists()

@@ -7,10 +7,13 @@ suite never touches the user's real ``~/.cache/repro``.
 import json
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.mapping.flow import FlowOptions
+from repro.runtime import cache as cache_module
 from repro.runtime.cache import (
     ENV_CACHE_DIR,
     ENV_CACHE_MAX_BYTES,
@@ -476,3 +479,95 @@ class TestCorruptEntry:
         assert cache.get_point(SPEC) is None
         assert metrics.CACHE_CORRUPT.total() == before + 1
         assert not path.exists()
+
+
+class TestMemoryTable:
+    """A point read once is served from memory by the same instance;
+    every other process (and instance) still reads the file."""
+
+    def read_once(self, tmp_path, cycles=123):
+        cache = ResultCache(tmp_path)
+        cache.store_point(SPEC, make_point(cycles))
+        first = cache.get_point(SPEC)
+        assert first is not None
+        return cache, cache.path_for(point_key(SPEC)), first
+
+    @pytest.mark.parametrize("damage", ["garble", "delete"])
+    def test_repeat_read_touches_no_file(self, tmp_path, damage):
+        cache, path, first = self.read_once(tmp_path)
+        if damage == "garble":
+            path.write_bytes(b"\x80repro-garbage")
+        else:
+            path.unlink()
+        before = metrics.CACHE_HITS.total()
+        assert cache.get_point(SPEC) is first
+        assert (cache.hits, cache.misses) == (2, 0)
+        assert metrics.CACHE_HITS.total() == before + 1
+
+    def test_a_new_instance_still_finds_the_entry_corrupt(self,
+                                                          tmp_path):
+        _, path, _ = self.read_once(tmp_path)
+        path.write_bytes(b"\x80repro-garbage")
+        before = metrics.CACHE_CORRUPT.total()
+        assert ResultCache(tmp_path).get_point(SPEC) is None
+        assert metrics.CACHE_CORRUPT.total() == before + 1
+        assert not path.exists()
+
+    def test_put_replaces_the_remembered_point(self, tmp_path):
+        cache, _, _ = self.read_once(tmp_path, cycles=1)
+        cache.store_point(SPEC, make_point(cycles=2))
+        assert cache.get_point(SPEC).cycles == 2
+
+    @pytest.mark.parametrize("drop", [
+        lambda cache: cache.invalidate_point(SPEC),
+        lambda cache: cache.clear(),
+        lambda cache: cache.prune(0),
+    ], ids=["invalidate", "clear", "prune"])
+    def test_dropping_the_entry_drops_the_point(self, tmp_path, drop):
+        cache, _, _ = self.read_once(tmp_path)
+        drop(cache)
+        assert cache.get_point(SPEC) is None
+        assert cache.misses == 1
+
+    def test_least_recently_used_point_leaves_first(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_POINTS", 2)
+        cache = ResultCache(tmp_path)
+        paths = fill(cache, 3)
+        for seed in (0, 1, 0, 2):  # 1 is now the least recently used
+            assert cache.get_point(spec_for(seed)) is not None
+        for path in paths:
+            path.write_bytes(b"\x80repro-garbage")
+        assert cache.get_point(spec_for(0)) is not None
+        assert cache.get_point(spec_for(2)) is not None
+        assert cache.get_point(spec_for(1)) is None
+        assert cache.misses == 1
+
+    def test_concurrent_readers_all_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        keys = [point_key(spec_for(seed)) for seed in range(50)]
+        for seed, key in enumerate(keys):
+            cache.put(key, make_point(seed))
+        errors = []
+
+        def read():
+            try:
+                for key in keys:
+                    assert cache.get(key) is not None
+            except BaseException as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # A lost update to the shared counter would show here.
+        assert (cache.hits, cache.misses) == (8 * 50, 0)

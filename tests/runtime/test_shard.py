@@ -33,6 +33,7 @@ from repro.runtime.shard import (
     spec_to_json,
     sweep_fingerprint,
     sweep_json_payload,
+    sweep_result_from_payload,
 )
 from repro.runtime.sweep import (
     ExperimentPoint,
@@ -358,6 +359,17 @@ class TestMerge:
             self, payload):
         with pytest.raises(ReproError, match="malformed|payload"):
             merge_sweep_payloads([payload])
+
+    @pytest.mark.parametrize("rebuild", [
+        merge_sweep_payloads,
+        lambda payloads: sweep_result_from_payload(payloads[0]),
+    ], ids=["merge", "single-payload"])
+    def test_mistyped_spec_field_is_a_malformed_payload(self, rebuild):
+        _, payloads = shard_payloads(self.SPECS, 1)
+        payloads[0]["points"][-1]["spec"]["seed"] = "7"
+        with pytest.raises(ReproError,
+                           match="malformed sweep payload.*'seed'"):
+            rebuild(payloads)
 
 
 class TestMergeEndToEnd:

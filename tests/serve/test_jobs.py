@@ -92,6 +92,32 @@ class TestResolveRequest:
         with pytest.raises(RequestError, match="malformed spec"):
             resolve_request({"specs": [{"kernel": "fir"}]})
 
+    @pytest.mark.parametrize("field,value", [
+        ("kernel", 7), ("config", None), ("variant", ["full"]),
+        ("backend", 1), ("seed", None), ("seed", True), ("seed", 1.5),
+        ("seed", "x"), ("rows", True), ("cols", 4.0),
+        ("cm_depths", "16"), ("cm_depths", [16] * 15 + [0]),
+        ("cm_depths", [True] * 16), ("options", [1]),
+        ("options.acmap", 1), ("options.prune_cap", True),
+        ("options.seed", None), ("options.traversal", 3),
+    ])
+    def test_mistyped_spec_field_is_a_request_error_naming_it(
+            self, field, value):
+        spec = spec_to_json(PointSpec("fir", "HOM16", "full",
+                                      cm_depths=(16,) * 16))
+        if field.startswith("options."):
+            spec["options"][field.removeprefix("options.")] = value
+        else:
+            spec[field] = value
+        with pytest.raises(RequestError, match=f"'{field}'"):
+            resolve_request({"specs": [spec]})
+
+    def test_unknown_spec_option_is_a_request_error_naming_it(self):
+        spec = spec_to_json(PointSpec("fir", "HET1", "full"))
+        spec["options"]["warp"] = 9
+        with pytest.raises(RequestError, match="'warp'"):
+            resolve_request({"specs": [spec]})
+
     def test_non_object_spec_entry_is_a_request_error(self):
         # A bare kernel name instead of a spec dict is an easy
         # client mistake; it must 400, not crash the handler.
@@ -487,7 +513,10 @@ class TestEviction:
         return jobs
 
     def test_count_bound_evicts_oldest_finished(self, fake_compute):
+        # One runner thread: the jobs finish in submission order,
+        # which is the order the assertion below takes for "oldest".
         manager = JobManager(workers=1, cache=None,
+                             max_concurrent_jobs=1,
                              max_finished_jobs=2,
                              finished_ttl_seconds=None)
         try:
