@@ -16,12 +16,34 @@ Candidates on CAB-blacklisted tiles are skipped when the flow enables
 constraint-aware binding.  The exactness of the per-operation
 enumeration (nothing is skipped before the pruning stages) mirrors the
 paper's exact sub-graph-match binding.
+
+Binding is split into *score* and *build*.  :func:`score_bind` runs
+the route queries :func:`try_bind` would run, against the parent
+partial mapping, and returns a light :class:`Candidate` carrying the
+``cost()`` and ``fits_approx()`` the built clone would report.  The
+pruning stages read only those two, so they act on candidates, and the
+flow builds (clones) only the survivors — about one in ten.  The
+parent can stand in for the clone because a placement's operand
+routes put their MOVs strictly before its cycle and its result routes
+strictly after, while a search reads slots only from its value's
+earliest event up to its horizon: the op's own slot is on none of its
+routes, and the two kinds of route never read each other's MOVs.  A
+second route of the same kind does read the first one's MOVs, so the
+scorer hands its searches a :class:`~repro.mapping.state.SlotView`
+holding them once there are any.
 """
 
 from __future__ import annotations
 
+from repro.errors import MappingError
 from repro.ir import analysis, opcodes
 from repro.mapping import routing
+from repro.mapping.state import (
+    SlotView,
+    crf_with,
+    port_events_with,
+    rf_events_with,
+)
 
 
 class BindContext:
@@ -68,7 +90,11 @@ def candidate_tiles(ctx, pm, op):
 
 
 def try_bind(ctx, pm, op, tile, cycle):
-    """Attempt to place ``op`` at ``(tile, cycle)``; None on failure."""
+    """Place ``op`` at ``(tile, cycle)`` in a clone of ``pm``.
+
+    Returns the clone with the op's routes committed, or None on
+    failure.  :func:`score_bind` predicts the outcome without cloning.
+    """
     blacklist = pm.blacklist if ctx.cab else frozenset()
     candidate = pm.clone()
     candidate.place_op(op.uid, tile, cycle)
@@ -118,6 +144,119 @@ def try_bind(ctx, pm, op, tile, cycle):
                 return None
             routing.commit_route(candidate, op.result.uid, route)
     return candidate
+
+
+class Candidate:
+    """A scored placement: what ``try_bind`` would build, unbuilt."""
+
+    __slots__ = ("ctx", "pm", "op", "tile", "cycle", "_cost", "_fits")
+
+    def __init__(self, ctx, pm, op, tile, cycle, cost, fits):
+        self.ctx = ctx
+        self.pm = pm
+        self.op = op
+        self.tile = tile
+        self.cycle = cycle
+        self._cost = cost
+        self._fits = fits
+
+    def cost(self):
+        """The built mapping's ``cost()``."""
+        return self._cost
+
+    def fits_approx(self):
+        """The built mapping's ``fits_approx()`` (the ACMAP verdict)."""
+        return self._fits
+
+    def build(self):
+        """The partial mapping itself (a clone of the parent)."""
+        built = try_bind(self.ctx, self.pm, self.op, self.tile, self.cycle)
+        if built is None:
+            raise MappingError(
+                f"op {self.op.uid} scored at ({self.tile},{self.cycle}) "
+                f"but failed to build")
+        return built
+
+
+def score_bind(ctx, pm, op, tile, cycle):
+    """Score ``try_bind(ctx, pm, op, tile, cycle)`` without cloning.
+
+    Runs the same route queries (through ``routing.route_to_operand``,
+    against ``pm`` or a :class:`~repro.mapping.state.SlotView` of it)
+    and returns None exactly where ``try_bind`` would, else a
+    :class:`Candidate` whose ``cost()`` and ``fits_approx()`` equal the
+    built mapping's.
+    """
+    blacklist = pm.blacklist if ctx.cab else frozenset()
+    max_movs = ctx.max_route_movs
+    memo = ctx.route_memo
+    movs = []  # every MOV the placement's routes add, in commit order
+    # What the searches read: the parent, until a route follows one of
+    # its own kind that added MOVs (see the module docstring).
+    view = pm
+    operands = op.operands
+    seen_operands = set() if len(operands) > 1 else None
+    crf = pm.const_tiles[tile]
+    for operand in operands:
+        if seen_operands is not None:
+            if operand.uid in seen_operands:
+                continue
+            seen_operands.add(operand.uid)
+        if operand.is_const:
+            crf = crf_with(crf, operand.value,
+                           ctx.cgra.tile(tile).crf_words)
+            if crf is None:
+                return None
+        elif operand.is_symbol:
+            home = pm.home_of(ctx.symbol_of[operand.uid])
+            if home is None:
+                home = tile
+            events = (rf_events_with(pm.rf_avail.get(operand.uid, ()),
+                                     home, 0),
+                      pm.port_events.get(operand.uid, ()))
+            if movs and view is pm:
+                view = SlotView(pm, movs)
+            route = routing.route_to_operand(
+                view, operand.uid, tile, cycle, max_movs, blacklist, memo,
+                events)
+            if route is None and blacklist:
+                route = routing.route_to_operand(
+                    view, operand.uid, tile, cycle, max_movs,
+                    memo=memo, events=events)
+            if route is None:
+                return None
+            movs += route.movs
+            if view is not pm:
+                view.add(route.movs)
+    if op.result is not None:
+        uid = op.result.uid
+        rf_events = rf_events_with(pm.rf_avail.get(uid, ()), tile, cycle + 1)
+        port_events = port_events_with(pm.port_events.get(uid, ()), tile,
+                                       cycle + 1)
+        operand_movs = len(movs)
+        placements_get = pm.placements.get
+        for consumer in ctx.data_consumers[op.uid]:
+            placement = placements_get(consumer.uid)
+            if placement is None:
+                continue
+            if len(movs) > operand_movs and view is pm:
+                view = SlotView(pm, movs)
+            route = routing.route_to_operand(
+                view, uid, placement[0], placement[1], max_movs, blacklist,
+                memo, (rf_events, port_events))
+            if route is None:
+                return None
+            if route.movs:
+                movs += route.movs
+                if view is not pm:
+                    view.add(route.movs)
+                for mov_tile, mov_cycle in route.movs:
+                    rf_events = rf_events_with(rf_events, mov_tile,
+                                               mov_cycle + 1)
+                    port_events = port_events_with(port_events, mov_tile,
+                                                   mov_cycle + 1)
+    return Candidate(ctx, pm, op, tile, cycle,
+                     *pm.score_with(tile, cycle, movs))
 
 
 def _least_used_tile(pm, blacklist):
@@ -264,13 +403,15 @@ def _rf_pressure_ok(candidate):
 
 
 def bind_candidates(ctx, pm, op, full_window=False):
-    """All extensions of ``pm`` placing ``op`` (one best cycle per tile).
+    """Scored extensions of ``pm`` placing ``op`` (one cycle per tile).
 
     Cycles are scanned latest-first within ``options.cycle_window`` so
-    schedules stay tight; the earliest legal cycle is the op's ASAP
-    level (its dependence depth needs that many earlier cycles).
-    ``full_window`` widens the scan to the whole legal range — the
-    flow's fallback before declaring a binding failure.
+    schedules stay tight, and each tile keeps its first placement that
+    scores; the earliest legal cycle is the op's ASAP level (its
+    dependence depth needs that many earlier cycles).  ``full_window``
+    widens the scan to the whole legal range — the flow's fallback
+    before declaring a binding failure.  Returns :class:`Candidate`
+    objects; ``Candidate.build`` makes the partial mapping.
     """
     results = []
     earliest = ctx.asap[op.uid]
@@ -304,7 +445,7 @@ def bind_candidates(ctx, pm, op, full_window=False):
         for cycle in range(latest, window_floor - 1, -1):
             if cycle in occupied:
                 continue
-            candidate = try_bind(ctx, pm, op, tile, cycle)
+            candidate = score_bind(ctx, pm, op, tile, cycle)
             if candidate is not None:
                 results.append(candidate)
                 break

@@ -38,7 +38,16 @@ from repro.mapping.pruning import acmap_filter, ecmap_filter, stochastic_prune
 from repro.mapping.result import BlockMapping, MappingResult
 from repro.mapping.scheduler import backward_order
 from repro.mapping.state import CommittedState, PartialMapping
-from repro.mapping.traversal import block_order
+from repro.mapping.traversal import TRAVERSALS, block_order
+
+#: Least value of each bounded FlowOptions field: below it the flow
+#: would skip its attempts, routes or slack (a wrong "unmappable") or
+#: crash.
+_OPTION_FLOORS = {
+    "max_attempts": 1, "prune_cap": 1, "presplit_load_fanout": 1,
+    "presplit_alu_fanout": 1, "max_route_movs": 0, "finalize_slack": 0,
+    "seed": 0,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,6 +73,17 @@ class FlowOptions:
     presplit_load_fanout: int = 2
     presplit_alu_fanout: int = 6
     finalize_slack: int = 6
+
+    def __post_init__(self):
+        if self.traversal not in TRAVERSALS:
+            raise ValueError(
+                f"flow option 'traversal' must be one of {TRAVERSALS}, "
+                f"got {self.traversal!r}")
+        for name, least in _OPTION_FLOORS.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"flow option {name!r} must be >= "
+                                 f"{least}, got {value!r}")
 
     @property
     def is_context_aware(self):
@@ -240,7 +260,8 @@ def _map_block_once(dfg, length, cgra, committed, options, rng):
             candidates = acmap_filter(candidates)
             if not candidates:
                 raise BlockBindFailure(op.uid, "acmap")
-        partials = stochastic_prune(candidates, options.prune_cap, rng)
+        partials = [candidate.build() for candidate in stochastic_prune(
+            candidates, options.prune_cap, rng)]
         if options.ecmap:
             partials = ecmap_filter(partials)
             if not partials:

@@ -38,14 +38,19 @@ changing a single returned route:
   pruned states can never lie on a returned route, and the pop order
   and parent choice of every goal-reaching state are untouched: the
   surviving search is bit-identical to the exhaustive one.
-- **Memoisation.**  Sibling partial mappings (clones of one parent
-  explored by the binder) keep issuing identical route queries.  A
-  query's outcome depends only on the value's (immutable) availability
-  event tuples, the goal, the budget, the blacklist and the occupancy
-  of issue slots below the horizon — so callers may pass a ``memo``
-  dict (scoped to one block attempt by the binder) keyed on exactly
-  those, and both successful routes and failures are replayed instead
-  of re-searched.
+- **Memoisation.**  The binder scores every placement of an op in
+  every live partial mapping, then builds the survivors, and these
+  keep issuing identical route queries.  A search reads only the
+  value's (immutable) availability event tuples, the goal, the budget,
+  the blacklist and the issue slots at cycles from the earliest event
+  up to the horizon — so callers may pass a ``memo`` dict (scoped to
+  one block attempt by the binder) keyed on exactly those, the slots
+  as ``window_key`` bitmasks.  Equal keys give equal routes whichever
+  partial mapping asks: a scored placement and its built clone share
+  entries, and both successful routes and failures are replayed
+  instead of re-searched.  Queries whose earliest event sits within
+  ``MEMO_MIN_GAP`` cycles of the horizon skip the memo: their search
+  is cheaper than their key.
 """
 
 from __future__ import annotations
@@ -112,8 +117,9 @@ def _trace(parents, state):
     return Route(movs)
 
 
-def _memo_worthwhile(rf_events, port_events, horizon):
-    """True when the earliest event leaves a wide search window."""
+def _earliest(rf_events, port_events, horizon):
+    """Earliest event cycle, capped at ``horizon``: a search reads no
+    issue slot outside ``[_earliest(...), horizon)``."""
     first = horizon
     for _, c in rf_events:
         if c < first:
@@ -121,7 +127,25 @@ def _memo_worthwhile(rf_events, port_events, horizon):
     for _, c in port_events:
         if c < first:
             first = c
-    return horizon - first >= MEMO_MIN_GAP
+    return first
+
+
+def _memoised(search, memo, kind, pm, rf_events, port_events, tile,
+              horizon, max_movs, blacklist):
+    """Run ``search``, or replay it from ``memo`` (module docstring)."""
+    first = _earliest(rf_events, port_events, horizon)
+    if memo is None or horizon - first < MEMO_MIN_GAP:
+        return search(pm, rf_events, port_events, tile, horizon, max_movs,
+                      blacklist)
+    key = (kind, tile, horizon, max_movs, blacklist, rf_events, port_events,
+           pm.window_key(first, horizon))
+    hit = memo.get(key, _MISS)
+    if hit is not _MISS:
+        return None if hit is None else Route(list(hit))
+    route = search(pm, rf_events, port_events, tile, horizon, max_movs,
+                   blacklist)
+    memo[key] = None if route is None else tuple(route.movs)
+    return route
 
 
 def _search_operand(pm, rf_events, port_events, tile, cycle, max_movs,
@@ -329,38 +353,34 @@ def _search_landing(pm, rf_events, port_events, tile, deadline,
 
 def route_to_operand(pm, value_uid, tile, cycle,
                      max_movs=MAX_ROUTE_MOVS, blacklist=frozenset(),
-                     memo=None):
+                     memo=None, events=None):
     """Make the value readable by an instruction at ``(tile, cycle)``.
 
     Returns a :class:`Route` (possibly empty) or None.  ``memo`` — an
-    optional dict shared across sibling partial mappings — replays
+    optional dict shared across partial mappings — replays
     previously-searched queries (see the module docstring).
+    ``events`` — the value's ``(rf_events, port_events)`` tuples when
+    the caller holds them instead of ``pm`` (a scored placement that
+    is not built); by default they are read from ``pm``.
     """
+    if events is None:
+        rf_events = pm.rf_avail.get(value_uid, ())
+        port_events = pm.port_events.get(value_uid, ())
+    else:
+        rf_events, port_events = events
     # Inlined readable_at: already-readable values route for free.
-    rf_events = pm.rf_avail.get(value_uid, ())
     for event_tile, event_cycle in rf_events:
         if event_tile == tile:
             if event_cycle <= cycle:
                 return Route([])
             break
-    port_events = pm.port_events.get(value_uid, ())
     if port_events:
         neighbors = pm.cgra.neighbor_table[tile]
         for event_tile, event_cycle in port_events:
             if event_cycle == cycle and event_tile in neighbors:
                 return Route([])
-    if memo is None or not _memo_worthwhile(rf_events, port_events, cycle):
-        return _search_operand(pm, rf_events, port_events, tile, cycle,
-                               max_movs, blacklist)
-    key = ("op", tile, cycle, max_movs, blacklist, rf_events,
-           port_events, pm.occupancy_key(cycle))
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return None if hit is None else Route(list(hit))
-    route = _search_operand(pm, rf_events, port_events, tile, cycle,
-                            max_movs, blacklist)
-    memo[key] = None if route is None else tuple(route.movs)
-    return route
+    return _memoised(_search_operand, memo, "op", pm, rf_events,
+                     port_events, tile, cycle, max_movs, blacklist)
 
 
 def route_to_rf(pm, value_uid, tile, deadline,
@@ -378,20 +398,9 @@ def route_to_rf(pm, value_uid, tile, deadline,
             if event_cycle <= deadline:
                 return Route([])
             break
-    port_events = pm.port_events.get(value_uid, ())
-    if memo is None or not _memo_worthwhile(rf_events, port_events,
-                                            deadline):
-        return _search_landing(pm, rf_events, port_events, tile,
-                               deadline, max_movs, blacklist)
-    key = ("rf", tile, deadline, max_movs, blacklist, rf_events,
-           port_events, pm.occupancy_key(deadline))
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return None if hit is None else Route(list(hit))
-    route = _search_landing(pm, rf_events, port_events, tile, deadline,
-                            max_movs, blacklist)
-    memo[key] = None if route is None else tuple(route.movs)
-    return route
+    return _memoised(_search_landing, memo, "rf", pm, rf_events,
+                     pm.port_events.get(value_uid, ()), tile, deadline,
+                     max_movs, blacklist)
 
 
 def commit_route(pm, value_uid, route):

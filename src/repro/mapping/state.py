@@ -16,20 +16,28 @@ idle gap *before or between* them; trailing idle cycles and blocks in
 which the tile never wakes up cost nothing (the tile sleeps until the
 global block-end broadcast).
 
-Performance note: the binder clones a partial mapping for every
-placement candidate, so per-value event containers are stored as
-immutable tuples/frozensets — ``clone()`` copies only the outer dicts
-(pointer copies), and updates replace the small inner values.
+Performance note: the binder scores every placement against its
+parent without copying it (``binder.score_bind``) and clones only the
+placements that survive pruning — about one in ten.  The scorer
+predicts a clone's value events, constants and cost with the rules
+the mapping itself applies (:func:`slot_words`, :func:`rf_events_with`,
+:func:`port_events_with`, :func:`crf_with`, via ``score_with``), so
+each rule has one definition; its route searches read the parent, or a
+:class:`SlotView` of it plus the MOVs they must see.  Per-value event
+containers are immutable tuples/frozensets, so ``clone()`` copies only
+the outer dicts (pointer copies), and updates replace the small inner
+values.
 
 All context accounting is incremental: ``occupy`` maintains per-tile
-busy counts, PNOP counts, context words and the derived pruning
-aggregates (total words, worst capacity pressure, per-depth overflow
-counters) in O(1) per placed instruction, so ``cost()`` and the
-ACMAP/ECMAP fitness checks never rescan the schedule.  Per-tile words
-only ever grow while instructions are added (a new instruction adds
-one word and changes the PNOP count by -1, 0 or +1), which is what
-makes the running-maximum pressure exact; the rare whole-schedule
-shifts (``stretch``/``compress``) rebuild the aggregates outright.
+busy-cycle bitmasks, context words and the derived pruning aggregates
+(total words, worst capacity pressure, per-depth overflow counters) in
+O(1) per placed instruction, so ``cost()`` and the ACMAP/ECMAP fitness
+checks never rescan the schedule.  Per-tile words only ever grow while
+instructions are added (:func:`slot_words` is 0, 1 or 2), which is
+what makes the running-maximum pressure exact; the rare whole-schedule
+shifts (``stretch``/``compress``) shift the bitmasks and rebuild the
+aggregates outright.  The bitmasks also give the route memo its key
+(``window_key``).
 """
 
 from __future__ import annotations
@@ -41,9 +49,48 @@ from repro.errors import MappingError
 _CYCLE_BITS = 12
 _CYCLE_MASK = (1 << _CYCLE_BITS) - 1
 
-#: Occupancy delta-log length at which ``occupy`` folds the log into a
-#: fresh base token (see ``occupancy_key``).
-_OCC_FOLD = 32
+
+def slot_words(busy, cycle):
+    """Context words one more instruction at ``cycle`` costs a tile.
+
+    ``busy`` holds the tile's busy cycles as set bits.  The instruction
+    takes one word, and the tile's PNOP count (one per idle run before
+    or between instructions; trailing idle is free) changes by -1, 0
+    or +1.  That nets out to one word per idle neighbour cycle: the
+    one before (cycle 0 has none) and the one after.
+    """
+    return ((cycle > 0 and not busy >> (cycle - 1) & 1)
+            + (not busy >> (cycle + 1) & 1))
+
+
+def rf_events_with(events, tile, cycle):
+    """RF events with the value readable on ``tile`` from ``cycle``.
+
+    One entry per tile, holding its earliest cycle; a new tile is
+    appended, so the tuple keeps first-arrival order.
+    """
+    for index, (event_tile, event_cycle) in enumerate(events):
+        if event_tile == tile:
+            if cycle < event_cycle:
+                return events[:index] + ((tile, cycle),) + events[index + 1:]
+            return events
+    return events + ((tile, cycle),)
+
+
+def crf_with(crf, value, capacity):
+    """A tile's CRF constants with ``value`` resident; None if full."""
+    if value in crf:
+        return crf
+    if len(crf) >= capacity:
+        return None
+    return crf | {value}
+
+
+def port_events_with(events, tile, cycle):
+    """Port events with the value on ``tile``'s output at ``cycle``."""
+    if (tile, cycle) in events:
+        return events
+    return events + ((tile, cycle),)
 
 
 class CommittedState:
@@ -129,11 +176,7 @@ class PartialMapping:
         "n_movs",
         "blacklist",
         "_owned",
-        "_occ_base",
-        "_occ_delta",
-        "_tile_max",
-        "_tile_min",
-        "_tile_pnops",
+        "_busy",
         "_tile_words",
         "_total_words",
         "_worst_pressure",
@@ -153,11 +196,8 @@ class PartialMapping:
         #: tiles whose cycle dict is private to this instance (the
         #: copy-on-write set — see ``clone``)
         self._owned = set(self.tile_cycles)
-        #: occupancy identity: pms sharing ``_occ_base`` hold exactly
-        #: the base schedule plus their ``_occ_delta`` slots — the
-        #: route memo keys on this instead of scanning the schedule
-        self._occ_base = object()
-        self._occ_delta = []
+        #: tile -> its busy cycles as the set bits of one integer
+        self._busy = [0] * cgra.n_tiles
         #: value uid -> tuple of (tile, earliest readable cycle)
         self.rf_avail = {}
         #: value uid -> tuple of (tile, cycle) output-port events
@@ -172,12 +212,9 @@ class PartialMapping:
         self.n_movs = 0
         #: tiles CAB excludes from further binding (aware flow only)
         self.blacklist = frozenset()
-        #: incremental PNOP accounting (kept exact by ``occupy``)
-        self._tile_max = [None] * cgra.n_tiles
-        self._tile_min = [None] * cgra.n_tiles
-        self._tile_pnops = [0] * cgra.n_tiles
-        #: incremental context words (committed + busy + PNOPs) and
-        #: the aggregates the pruning stages read
+        #: incremental context words (committed + busy + PNOPs, kept
+        #: exact by ``occupy``) and the aggregates the pruning stages
+        #: read
         self._tile_words = list(committed.tile_instrs)
         self._init_aggregates()
 
@@ -189,7 +226,7 @@ class PartialMapping:
         worst = 0.0
         n_over_exact = 0
         n_over_approx = 0
-        tile_cycles = self.tile_cycles
+        busy = self._busy
         for tile, depth in enumerate(depths):
             exact = words[tile]
             pressure = exact / depth
@@ -197,7 +234,7 @@ class PartialMapping:
                 worst = pressure
             if exact > depth:
                 n_over_exact += 1
-            approx = exact + 1 if tile_cycles[tile] else exact
+            approx = exact + 1 if busy[tile] else exact
             if approx > depth:
                 n_over_approx += 1
         self._worst_pressure = worst
@@ -216,9 +253,8 @@ class PartialMapping:
         # Per-tile cycle dicts are shared copy-on-write: only the
         # outer dict is copied, and both sides give up in-place
         # mutation rights — ``occupy`` re-copies a tile's dict on the
-        # first write after a clone (most candidates touch only a few
-        # tiles, the clone itself is what the binder does ~100k times
-        # per kernel).
+        # first write after a clone (a built placement touches only a
+        # few tiles).
         new.tile_cycles = dict(self.tile_cycles)
         new._owned = set()
         self._owned.clear()
@@ -230,11 +266,7 @@ class PartialMapping:
         new._mov_chain = self._mov_chain
         new.n_movs = self.n_movs
         new.blacklist = self.blacklist
-        new._occ_base = self._occ_base
-        new._occ_delta = self._occ_delta.copy()
-        new._tile_max = list(self._tile_max)
-        new._tile_min = list(self._tile_min)
-        new._tile_pnops = list(self._tile_pnops)
+        new._busy = list(self._busy)
         new._tile_words = list(self._tile_words)
         new._total_words = self._total_words
         new._worst_pressure = self._worst_pressure
@@ -266,49 +298,17 @@ class PartialMapping:
             cycles = dict(cycles)
             self.tile_cycles[tile] = cycles
             self._owned.add(tile)
-        # Inlined exact-PNOP bookkeeping (one call frame per placed
-        # instruction adds up to whole-percent map time).
-        pnops = self._tile_pnops
-        maximum = self._tile_max[tile]
-        was_empty = maximum is None
-        pnops_before = pnops[tile]
-        minimum = self._tile_min[tile]
-        if minimum is None or cycle < minimum:
-            self._tile_min[tile] = cycle
-        if was_empty:
-            self._tile_max[tile] = cycle
-            pnops[tile] = 1 if cycle > 0 else 0
-        elif cycle > maximum:
-            if cycle > maximum + 1:
-                pnops[tile] += 1
-            self._tile_max[tile] = cycle
-        else:
-            # Insertion strictly inside [0, maximum): the idle run
-            # holding ``cycle`` shrinks, splits, or disappears.
-            left_idle = cycle > 0 and (cycle - 1) not in cycles
-            right_idle = (cycle + 1) not in cycles
-            if left_idle and right_idle:
-                pnops[tile] += 1
-            elif not left_idle and not right_idle:
-                pnops[tile] -= 1
         cycles[cycle] = descriptor
         if cycle >= self.length:
             self.length = cycle + 1
-        # Occupancy identity: extend the delta log, or fold it into a
-        # fresh base token once it grows past the constant bound.
-        delta = self._occ_delta
-        if len(delta) >= _OCC_FOLD:
-            self._occ_base = object()
-            delta.clear()
-        else:
-            delta.append((tile << _CYCLE_BITS) | cycle)
-        # Context-word and pruning-aggregate maintenance.  The new
-        # instruction adds one word; the PNOP delta is -1, 0 or +1, so
-        # per-tile words never shrink and the running maximum pressure
-        # stays exact.
+        busy = self._busy[tile]
+        self._busy[tile] = busy | 1 << cycle
+        # Context-word and pruning-aggregate maintenance.  Per-tile
+        # words never shrink, so the running maximum pressure stays
+        # exact.
         words = self._tile_words
         old = words[tile]
-        new = old + 1 + pnops[tile] - pnops_before
+        new = old + slot_words(busy, cycle)
         words[tile] = new
         self._total_words += new - old
         depth = self.cgra.cm_depths[tile]
@@ -318,21 +318,56 @@ class PartialMapping:
         if old <= depth < new:
             self._n_over_exact += 1
         # The ACMAP estimate adds a one-word reserve on busy tiles.
-        approx_old = old if was_empty else old + 1
+        approx_old = old + 1 if busy else old
         if approx_old <= depth < new + 1:
             self._n_over_approx += 1
 
-    def occupancy_key(self, horizon):
-        """Hashable identity of the issue slots below ``horizon``.
+    def window_key(self, lo, hi):
+        """Hashable identity of every tile's issue slots in ``[lo, hi)``.
 
-        Two partial mappings with equal keys occupy exactly the same
-        slots at cycles ``< horizon``: the shared base token pins the
-        schedule at the last fold point and the delta log lists every
-        slot taken since.  O(len(delta)) — the route memo's key cost.
+        One bitmask per tile, shifted down by ``lo``: two mappings
+        with equal keys occupy exactly the same slots at cycles
+        ``lo <= c < hi``, and a uniform shift of the whole schedule
+        (``stretch``) shifts the key's window with it.  The route
+        memo keys on this (see ``repro.mapping.routing``).
         """
-        return (self._occ_base,
-                frozenset(slot for slot in self._occ_delta
-                          if slot & _CYCLE_MASK < horizon))
+        width = (1 << (hi - lo)) - 1
+        return tuple(busy >> lo & width for busy in self._busy)
+
+    def score_with(self, tile, cycle, movs):
+        """``cost()`` and ``fits_approx()`` this mapping would report
+        after an op at ``(tile, cycle)`` and the ``(tile, cycle)``
+        MOVs ``movs``, without adding them.
+
+        The same rules as ``occupy``: per-tile words only grow, so the
+        aggregates follow from each touched tile's first and last
+        words.
+        """
+        busy = self._busy
+        words = self._tile_words
+        touched = {tile: (busy[tile] | 1 << cycle,
+                          words[tile] + slot_words(busy[tile], cycle))}
+        for mov_tile, mov_cycle in movs:
+            mask, tile_words = touched.get(mov_tile) or (busy[mov_tile],
+                                                        words[mov_tile])
+            touched[mov_tile] = (mask | 1 << mov_cycle,
+                                 tile_words + slot_words(mask, mov_cycle))
+        total = self._total_words
+        worst = self._worst_pressure
+        n_over_approx = self._n_over_approx
+        depths = self.cgra.cm_depths
+        for tile, (_, new) in touched.items():
+            old = words[tile]
+            total += new - old
+            depth = depths[tile]
+            pressure = new / depth
+            if pressure > worst:
+                worst = pressure
+            approx_old = old + 1 if busy[tile] else old
+            if approx_old <= depth < new + 1:
+                n_over_approx += 1
+        cost = (int(worst * 8), self.n_movs + len(movs), worst, total)
+        return cost, n_over_approx == 0
 
     def place_op(self, uid, tile, cycle):
         self.occupy(tile, cycle, ("op", uid))
@@ -359,40 +394,19 @@ class PartialMapping:
     # ------------------------------------------------------------------
     def add_rf_event(self, value_uid, tile, cycle):
         """Value readable by ``tile``'s instructions from ``cycle`` on."""
-        events = self.rf_avail.get(value_uid, ())
-        for index, (event_tile, event_cycle) in enumerate(events):
-            if event_tile == tile:
-                if cycle < event_cycle:
-                    self.rf_avail[value_uid] = (
-                        events[:index] + ((tile, cycle),)
-                        + events[index + 1:])
-                return
-        self.rf_avail[value_uid] = events + ((tile, cycle),)
+        self.rf_avail[value_uid] = rf_events_with(
+            self.rf_avail.get(value_uid, ()), tile, cycle)
 
     def add_port_event(self, value_uid, tile, cycle):
         """Value on ``tile``'s output port during exactly ``cycle``."""
-        events = self.port_events.get(value_uid, ())
-        if (tile, cycle) not in events:
-            self.port_events[value_uid] = events + ((tile, cycle),)
+        self.port_events[value_uid] = port_events_with(
+            self.port_events.get(value_uid, ()), tile, cycle)
 
     def record_production(self, value_uid, tile, cycle):
-        """An op/MOV at (tile, cycle) produced the value.
-
-        Equivalent to ``add_rf_event`` + ``add_port_event`` at
-        ``cycle + 1``, inlined with a fast path for the overwhelmingly
-        common fresh value (no prior events).
-        """
-        after = cycle + 1
-        events = self.rf_avail.get(value_uid)
-        if events is None:
-            self.rf_avail[value_uid] = ((tile, after),)
-        else:
-            self.add_rf_event(value_uid, tile, after)
-        events = self.port_events.get(value_uid)
-        if events is None:
-            self.port_events[value_uid] = ((tile, after),)
-        elif (tile, after) not in events:
-            self.port_events[value_uid] = events + ((tile, after),)
+        """An op/MOV at (tile, cycle) produced the value: it is in the
+        tile's RF and on its output port from ``cycle + 1``."""
+        self.add_rf_event(value_uid, tile, cycle + 1)
+        self.add_port_event(value_uid, tile, cycle + 1)
 
     def rf_cycle(self, value_uid, tile):
         """Earliest RF-read cycle of the value on a tile (None if absent)."""
@@ -419,12 +433,11 @@ class PartialMapping:
     # ------------------------------------------------------------------
     def register_const(self, tile, value):
         """Ensure a constant is CRF-resident; False if the CRF is full."""
-        crf = self.const_tiles[tile]
-        if value in crf:
-            return True
-        if len(crf) >= self.cgra.tile(tile).crf_words:
+        crf = crf_with(self.const_tiles[tile], value,
+                       self.cgra.tile(tile).crf_words)
+        if crf is None:
             return False
-        self.const_tiles[tile] = crf | {value}
+        self.const_tiles[tile] = crf
         return True
 
     # ------------------------------------------------------------------
@@ -434,8 +447,9 @@ class PartialMapping:
         return len(self.tile_cycles[tile])
 
     def exact_pnops(self, tile):
-        """Exact PNOP count (maintained incrementally by ``occupy``)."""
-        return self._tile_pnops[tile]
+        """Exact PNOP count (words not taken by an instruction)."""
+        return (self._tile_words[tile] - self.committed.tile_instrs[tile]
+                - len(self.tile_cycles[tile]))
 
     def approx_pnops(self, tile):
         """ACMAP's pessimistic estimate: current gaps plus a reserve.
@@ -448,7 +462,7 @@ class PartialMapping:
         """
         if not self.tile_cycles[tile]:
             return 0
-        return self._tile_pnops[tile] + 1
+        return self.exact_pnops(tile) + 1
 
     def tile_context_words(self, tile, exact=True):
         """CM words this block needs on ``tile`` so far (+ committed)."""
@@ -508,8 +522,6 @@ class PartialMapping:
             for tile, cycles in self.tile_cycles.items()
         }
         self._owned = set(self.tile_cycles)
-        self._occ_base = object()
-        self._occ_delta = []
         self.rf_avail = {
             uid: tuple((tile, cycle + delta if cycle > 0 else 0)
                        for tile, cycle in events)
@@ -525,15 +537,11 @@ class PartialMapping:
         self._mov_chain = chain
         # A uniform shift preserves every inter-instruction gap; only
         # tiles that started at cycle 0 gain a leading idle run (one
-        # new PNOP).  The tracked min/max make this O(1) per tile.
-        for tile, minimum in enumerate(self._tile_min):
-            if minimum is None:
-                continue
-            if minimum == 0:
-                self._tile_pnops[tile] += 1
+        # new PNOP).
+        for tile, busy in enumerate(self._busy):
+            if busy & 1:
                 self._tile_words[tile] += 1
-            self._tile_min[tile] = minimum + delta
-            self._tile_max[tile] += delta
+        self._busy = [busy << delta for busy in self._busy]
         self._init_aggregates()
 
     def compress(self):
@@ -546,12 +554,12 @@ class PartialMapping:
         (cycle 0) stay put and remain valid since they only get read
         later.
         """
-        occupied = [cycle for cycles in self.tile_cycles.values()
-                    for cycle in cycles]
-        if not occupied:
+        used = [busy for busy in self._busy if busy]
+        if not used:
             self.length = 1
             return
-        shift = min(occupied)
+        shift = min((busy & -busy).bit_length() for busy in used) - 1
+        last = max(busy.bit_length() for busy in used) - 1
         if shift > 0:
             self.placements = {
                 uid: (tile, cycle - shift)
@@ -561,8 +569,6 @@ class PartialMapping:
                        for cycle, desc in cycles.items()}
                 for tile, cycles in self.tile_cycles.items()}
             self._owned = set(self.tile_cycles)
-            self._occ_base = object()
-            self._occ_delta = []
             self.rf_avail = {
                 uid: tuple((tile, cycle - shift if cycle > 0 else 0)
                            for tile, cycle in events)
@@ -577,19 +583,15 @@ class PartialMapping:
             # The shift closes each tile's leading idle run by
             # ``shift`` cycles; the PNOP disappears only on tiles
             # whose first instruction lands exactly on cycle 0.
-            for tile, minimum in enumerate(self._tile_min):
-                if minimum is None:
-                    continue
-                if minimum > 0 and minimum - shift == 0:
-                    self._tile_pnops[tile] -= 1
+            for tile, busy in enumerate(self._busy):
+                if busy >> shift & 1:
                     self._tile_words[tile] -= 1
-                self._tile_min[tile] = minimum - shift
-                self._tile_max[tile] -= shift
+            self._busy = [busy >> shift for busy in self._busy]
             self._init_aggregates()
-        self.length = max(occupied) - shift + 1
+        self.length = last - shift + 1
 
     # ------------------------------------------------------------------
-    # Cost (pruning / final selection)
+    # Cost (pruning / final selection; ``score_with`` predicts it)
     # ------------------------------------------------------------------
     def cost(self):
         """Lexicographic cost: coarse capacity pressure, MOVs, total.
@@ -605,3 +607,27 @@ class PartialMapping:
     def __repr__(self):
         return (f"PartialMapping({len(self.placements)} ops, "
                 f"{self.n_movs} movs, L={self.length})")
+
+
+class SlotView:
+    """A partial mapping's issue slots plus some MOVs, as a route
+    search reads them (``cgra``, ``tile_cycles``, ``window_key``),
+    without copying the mapping: the binder's scorer searches on one
+    when a placement's later route may read its earlier routes' MOVs.
+    """
+
+    __slots__ = ("cgra", "tile_cycles", "_busy")
+
+    def __init__(self, pm, movs):
+        self.cgra = pm.cgra
+        self.tile_cycles = dict(pm.tile_cycles)
+        self._busy = list(pm._busy)
+        self.add(movs)
+
+    def add(self, movs):
+        for tile, cycle in movs:
+            self.tile_cycles[tile] = {**self.tile_cycles[tile], cycle: None}
+            self._busy[tile] |= 1 << cycle
+
+    #: reads only ``_busy``
+    window_key = PartialMapping.window_key

@@ -269,10 +269,12 @@ def spec_from_json(data):
     Every field must have its JSON type: strings for the names,
     integers (not booleans) for ``seed``, ``rows``, ``cols`` and the
     ``cm_depths`` entries, and each ``options`` value the type of its
-    :class:`FlowOptions` field.  A bad field raises a ValueError that
-    names it: a ``true`` seed would compute the ``1`` point under
-    another key, and a ``null`` one would draw its inputs from OS
-    entropy.
+    :class:`FlowOptions` field; ``seed`` must be at least 0, and the
+    options within the ranges ``FlowOptions`` checks.  A bad field
+    raises a ValueError that names it: a ``true`` seed would compute
+    the ``1`` point under another key, a ``null`` one would draw its
+    inputs from OS entropy, and a negative one crashes the input
+    generator.
     """
     from repro.runtime.backends import DEFAULT_BACKEND
 
@@ -293,7 +295,7 @@ def spec_from_json(data):
     rows, cols = data.get("rows"), data.get("cols")
     return PointSpec(
         *names, options=options,
-        seed=_typed("seed", data["seed"], int),
+        seed=_typed("seed", data["seed"], int, least=0),
         cm_depths=cm_depths,
         rows=rows if rows is None else _typed("rows", rows, int, least=1),
         cols=cols if cols is None else _typed("cols", cols, int, least=1),

@@ -273,6 +273,8 @@ def validated_sweep_specs(kernels=None, configs=None, variants=None,
         if unknown:
             raise ReproError(f"unknown {label} {sorted(unknown)}; "
                              f"choose from {sorted(valid)}")
+    if seed is not None and seed < 0:
+        raise ReproError(f"seed must be >= 0, got {seed}")
     from repro.runtime.backends import validated_backend
     return sweep_specs(kernels=kernels, configs=configs,
                        variants=variants,

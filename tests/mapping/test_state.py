@@ -128,6 +128,34 @@ class TestClone:
         assert clone.cost() == pm.cost()
 
 
+class TestWindowKey:
+    def test_slot_outside_the_window_leaves_the_key(self, pm):
+        pm.place_op(1, 0, 3)
+        before = pm.window_key(2, 6)
+        pm.occupy(0, 1, ("mov", 9))
+        pm.occupy(0, 6, ("mov", 9))
+        pm.occupy(5, 7, ("mov", 9))
+        assert pm.window_key(2, 6) == before
+
+    def test_slot_inside_the_window_changes_the_key(self, pm):
+        pm.place_op(1, 0, 3)
+        before = pm.window_key(2, 6)
+        pm.occupy(5, 2, ("mov", 9))
+        assert pm.window_key(2, 6) != before
+        again = pm.window_key(2, 6)
+        pm.occupy(0, 5, ("mov", 9))
+        assert pm.window_key(2, 6) != again
+
+    def test_stretch_shifts_the_window(self, pm):
+        pm.place_op(1, 0, 0)
+        pm.place_op(2, 3, 4)
+        pm.add_mov(7, 2, 9)
+        before = pm.window_key(1, 6)
+        pm.stretch(3)
+        assert pm.window_key(4, 9) == before
+        assert pm.window_key(1, 6) != before
+
+
 class TestConstants:
     def test_register_const(self, pm):
         assert pm.register_const(0, 42)

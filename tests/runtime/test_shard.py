@@ -371,6 +371,13 @@ class TestMerge:
                            match="malformed sweep payload.*'seed'"):
             rebuild(payloads)
 
+    def test_out_of_range_option_is_a_malformed_payload(self):
+        _, payloads = shard_payloads(self.SPECS, 1)
+        payloads[0]["points"][-1]["spec"]["options"]["max_attempts"] = 0
+        with pytest.raises(ReproError, match="malformed sweep payload"
+                           ".*'max_attempts' must be >= 1"):
+            merge_sweep_payloads(payloads)
+
 
 class TestMergeEndToEnd:
     """The acceptance path with the real pipeline: a cold unsharded

@@ -112,6 +112,31 @@ class TestResolveRequest:
         with pytest.raises(RequestError, match=f"'{field}'"):
             resolve_request({"specs": [spec]})
 
+    @pytest.mark.parametrize("field,value", [
+        ("options.max_attempts", 0), ("options.max_attempts", -2),
+        ("options.prune_cap", 0), ("options.presplit_load_fanout", 0),
+        ("options.presplit_alu_fanout", -1),
+        ("options.max_route_movs", -1), ("options.finalize_slack", -20),
+        ("options.seed", -1), ("options.traversal", "bogus"),
+        ("seed", -1),
+    ])
+    def test_out_of_range_spec_field_is_a_request_error_naming_it(
+            self, field, value):
+        # Each of these used to be accepted and then either answer a
+        # wrong "unmappable" without a real attempt or crash the point.
+        spec = spec_to_json(PointSpec("dc_filter", "HOM64", "full"))
+        if field.startswith("options."):
+            field = field.removeprefix("options.")
+            spec["options"][field] = value
+        else:
+            spec[field] = value
+        with pytest.raises(RequestError, match=f"'{field}'"):
+            resolve_request({"specs": [spec]})
+
+    def test_negative_axes_seed_is_a_request_error(self):
+        with pytest.raises(RequestError, match="seed must be >= 0"):
+            resolve_request({"kernels": ["fir"], "seed": -1})
+
     def test_unknown_spec_option_is_a_request_error_naming_it(self):
         spec = spec_to_json(PointSpec("fir", "HET1", "full"))
         spec["options"]["warp"] = 9
