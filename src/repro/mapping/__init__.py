@@ -3,7 +3,6 @@
 Module map (mirrors Fig 4 of the paper):
 
 - :mod:`repro.mapping.traversal` — forward vs weighted CDFG traversal;
-- :mod:`repro.mapping.tedg` — the time-extended directed graph view;
 - :mod:`repro.mapping.scheduler` — backward list scheduling order
   (mobility, then fan-out);
 - :mod:`repro.mapping.state` — partial mappings (placements, routed

@@ -17,25 +17,26 @@ constraint-aware binding.  The exactness of the per-operation
 enumeration (nothing is skipped before the pruning stages) mirrors the
 paper's exact sub-graph-match binding.
 
-Binding is split into *score* and *build*.  :func:`score_bind` runs
-the route queries :func:`try_bind` would run, against the parent
-partial mapping, and returns a light :class:`Candidate` carrying the
-``cost()`` and ``fits_approx()`` the built clone would report.  The
-pruning stages read only those two, so they act on candidates, and the
-flow builds (clones) only the survivors — about one in ten.  The
-parent can stand in for the clone because a placement's operand
-routes put their MOVs strictly before its cycle and its result routes
-strictly after, while a search reads slots only from its value's
-earliest event up to its horizon: the op's own slot is on none of its
-routes, and the two kinds of route never read each other's MOVs.  A
-second route of the same kind does read the first one's MOVs, so the
-scorer hands its searches a :class:`~repro.mapping.state.SlotView`
-holding them once there are any.
+Binding is split into *score* and *build*, and the score decides.
+:func:`score_bind` runs every route query a placement needs against
+the parent partial mapping and returns a light :class:`Candidate`
+carrying the routes that add MOVs and the ``cost()`` and
+``fits_approx()`` the built clone will report.  The pruning stages read
+only those two, so they act on candidates, and the flow builds (clones)
+only the survivors — about one in ten — by committing the candidate's
+routes (:func:`try_bind`), with no second search.  A route found on
+the parent is legal on the build because the parent can stand in for
+the clone: a placement's operand routes put their MOVs strictly before
+its cycle and its result routes strictly after, while a search reads
+slots only from its value's earliest event up to its horizon, so the
+op's own slot is on none of its routes, and the two kinds of route
+never read each other's MOVs.  A second route of the same kind does
+read the first one's MOVs, so the scorer hands its searches a
+:class:`~repro.mapping.state.SlotView` holding them once there are any.
 """
 
 from __future__ import annotations
 
-from repro.errors import MappingError
 from repro.ir import analysis, opcodes
 from repro.mapping import routing
 from repro.mapping.state import (
@@ -54,7 +55,6 @@ class BindContext:
         self.cgra = cgra
         self.options = options
         self.asap = analysis.asap_levels(dfg)
-        self.ops_by_uid = {op.uid: op for op in dfg.ops}
         #: op uid -> ops consuming its result (routing targets)
         self.data_consumers = {
             op.uid: dfg.data_successors(op) for op in dfg.ops}
@@ -89,74 +89,48 @@ def candidate_tiles(ctx, pm, op):
     return tiles
 
 
-def try_bind(ctx, pm, op, tile, cycle):
-    """Place ``op`` at ``(tile, cycle)`` in a clone of ``pm``.
+def try_bind(ctx, pm, op, tile, cycle, routes):
+    """Build a scored placement: a clone of ``pm`` with ``op`` at
+    ``(tile, cycle)`` and ``routes`` — the ``(value uid, Route)`` pairs
+    :func:`score_bind` found — committed.
 
-    Returns the clone with the op's routes committed, or None on
-    failure.  :func:`score_bind` predicts the outcome without cloning.
+    Nothing is searched and nothing can fail: the scorer checked every
+    constant and route on the parent (see the module docstring).  A
+    repeated operand repeats idempotent updates.
     """
-    blacklist = pm.blacklist if ctx.cab else frozenset()
-    candidate = pm.clone()
-    candidate.place_op(op.uid, tile, cycle)
-    operands = op.operands
-    seen_operands = set() if len(operands) > 1 else None
-    for operand in operands:
-        if seen_operands is not None:
-            if operand.uid in seen_operands:
-                continue
-            seen_operands.add(operand.uid)
+    built = pm.clone()
+    built.place_op(op.uid, tile, cycle)
+    for operand in op.operands:
         if operand.is_const:
-            if not candidate.register_const(tile, operand.value):
-                return None
+            built.register_const(tile, operand.value)
         elif operand.is_symbol:
             symbol = ctx.symbol_of[operand.uid]
-            home = candidate.home_of(symbol)
+            home = built.home_of(symbol)
             if home is None:
                 # First touch: the location constraint is fixed here.
-                candidate.fix_home(symbol, tile)
+                built.fix_home(symbol, tile)
                 home = tile
-            candidate.add_rf_event(operand.uid, home, 0)
-            route = routing.route_to_operand(
-                candidate, operand.uid, tile, cycle,
-                ctx.max_route_movs, blacklist, ctx.route_memo)
-            if route is None and blacklist:
-                # Reading a symbol requires touching its home tile even
-                # if CAB blacklisted it — the location constraint wins;
-                # ECMAP arbitrates whether the result still fits.
-                route = routing.route_to_operand(
-                    candidate, operand.uid, tile, cycle,
-                    ctx.max_route_movs, memo=ctx.route_memo)
-            if route is None:
-                return None
-            routing.commit_route(candidate, operand.uid, route)
-        # Op-result operands: their producers bind later (backward
-        # order) and will route toward this placement.
+            built.add_rf_event(operand.uid, home, 0)
     if op.result is not None:
-        candidate.record_production(op.result.uid, tile, cycle)
-        for consumer in ctx.data_consumers[op.uid]:
-            placement = candidate.placements.get(consumer.uid)
-            if placement is None:
-                continue
-            route = routing.route_to_operand(
-                candidate, op.result.uid, placement[0], placement[1],
-                ctx.max_route_movs, blacklist, ctx.route_memo)
-            if route is None:
-                return None
-            routing.commit_route(candidate, op.result.uid, route)
-    return candidate
+        built.record_production(op.result.uid, tile, cycle)
+    for uid, route in routes:
+        routing.commit_route(built, uid, route)
+    return built
 
 
 class Candidate:
-    """A scored placement: what ``try_bind`` would build, unbuilt."""
+    """A scored placement: the routes ``try_bind`` commits, unbuilt."""
 
-    __slots__ = ("ctx", "pm", "op", "tile", "cycle", "_cost", "_fits")
+    __slots__ = ("ctx", "pm", "op", "tile", "cycle", "routes", "_cost",
+                 "_fits")
 
-    def __init__(self, ctx, pm, op, tile, cycle, cost, fits):
+    def __init__(self, ctx, pm, op, tile, cycle, routes, cost, fits):
         self.ctx = ctx
         self.pm = pm
         self.op = op
         self.tile = tile
         self.cycle = cycle
+        self.routes = routes
         self._cost = cost
         self._fits = fits
 
@@ -170,27 +144,30 @@ class Candidate:
 
     def build(self):
         """The partial mapping itself (a clone of the parent)."""
-        built = try_bind(self.ctx, self.pm, self.op, self.tile, self.cycle)
-        if built is None:
-            raise MappingError(
-                f"op {self.op.uid} scored at ({self.tile},{self.cycle}) "
-                f"but failed to build")
-        return built
+        return try_bind(self.ctx, self.pm, self.op, self.tile, self.cycle,
+                        self.routes)
 
 
 def score_bind(ctx, pm, op, tile, cycle):
-    """Score ``try_bind(ctx, pm, op, tile, cycle)`` without cloning.
+    """Decide and score placing ``op`` at ``(tile, cycle)`` in ``pm``,
+    without cloning.
 
-    Runs the same route queries (through ``routing.route_to_operand``,
-    against ``pm`` or a :class:`~repro.mapping.state.SlotView` of it)
-    and returns None exactly where ``try_bind`` would, else a
-    :class:`Candidate` whose ``cost()`` and ``fits_approx()`` equal the
-    built mapping's.
+    Runs every route query the placement needs (through
+    ``routing.route_to_operand``, against ``pm`` or a
+    :class:`~repro.mapping.state.SlotView` of it) and returns None if a
+    constant does not fit or a value cannot be routed, else a
+    :class:`Candidate` holding each route that adds MOVs — operand
+    routes in operand order, then result routes in consumer order —
+    and the ``cost()`` and ``fits_approx()`` of the mapping
+    :func:`try_bind` builds from them.
     """
     blacklist = pm.blacklist if ctx.cab else frozenset()
     max_movs = ctx.max_route_movs
     memo = ctx.route_memo
-    movs = []  # every MOV the placement's routes add, in commit order
+    # (value uid, Route) for every route that adds MOVs; a tuple, so
+    # the many candidates without one allocate nothing for it
+    routes = ()
+    movs = []  # their MOVs, in commit order
     # What the searches read: the parent, until a route follows one of
     # its own kind that added MOVs (see the module docstring).
     view = pm
@@ -220,14 +197,21 @@ def score_bind(ctx, pm, op, tile, cycle):
                 view, operand.uid, tile, cycle, max_movs, blacklist, memo,
                 events)
             if route is None and blacklist:
+                # Reading a symbol requires touching its home tile even
+                # if CAB blacklisted it — the location constraint wins;
+                # ECMAP arbitrates whether the result still fits.
                 route = routing.route_to_operand(
                     view, operand.uid, tile, cycle, max_movs,
                     memo=memo, events=events)
             if route is None:
                 return None
-            movs += route.movs
-            if view is not pm:
-                view.add(route.movs)
+            if route.movs:
+                routes += ((operand.uid, route),)
+                movs += route.movs
+                if view is not pm:
+                    view.add(route.movs)
+        # Op-result operands: their producers bind later (backward
+        # order) and will route toward this placement.
     if op.result is not None:
         uid = op.result.uid
         rf_events = rf_events_with(pm.rf_avail.get(uid, ()), tile, cycle + 1)
@@ -247,6 +231,7 @@ def score_bind(ctx, pm, op, tile, cycle):
             if route is None:
                 return None
             if route.movs:
+                routes += ((uid, route),)
                 movs += route.movs
                 if view is not pm:
                     view.add(route.movs)
@@ -255,7 +240,7 @@ def score_bind(ctx, pm, op, tile, cycle):
                                                mov_cycle + 1)
                     port_events = port_events_with(port_events, mov_tile,
                                                    mov_cycle + 1)
-    return Candidate(ctx, pm, op, tile, cycle,
+    return Candidate(ctx, pm, op, tile, cycle, routes,
                      *pm.score_with(tile, cycle, movs))
 
 
@@ -267,7 +252,7 @@ def _least_used_tile(pm, blacklist):
     for tile in range(cgra.n_tiles):
         if tile in blacklist:
             continue
-        key = (pm.tile_context_words(tile, exact=True), tile)
+        key = (pm.tile_context_words(tile), tile)
         if best_key is None or key < best_key:
             best_key = key
             best_tile = tile

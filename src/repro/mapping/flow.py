@@ -41,12 +41,16 @@ from repro.mapping.state import CommittedState, PartialMapping
 from repro.mapping.traversal import TRAVERSALS, block_order
 
 #: Least value of each bounded FlowOptions field: below it the flow
-#: would skip its attempts, routes or slack (a wrong "unmappable") or
-#: crash.
+#: would skip its attempts, routes or slack (a wrong "unmappable"),
+#: crash, or read it as another value (a cycle window of 0 or less
+#: scans nothing before the full-window rescan, a negative retry
+#: budget acts as 0) that would be computed and cached under its own
+#: key.
 _OPTION_FLOORS = {
     "max_attempts": 1, "prune_cap": 1, "presplit_load_fanout": 1,
     "presplit_alu_fanout": 1, "max_route_movs": 0, "finalize_slack": 0,
-    "seed": 0,
+    "seed": 0, "cycle_window": 1, "max_recomputes": 0,
+    "max_cm_retries": 0,
 }
 
 

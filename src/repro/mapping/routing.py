@@ -5,7 +5,11 @@ cheapest legal chain of MOV instructions making the value readable by
 a consumer placement (or landing it in a register file by a deadline —
 the symbol-variable location constraints).
 
-The search is a 0-1 BFS over TEDG states:
+The time-extended directed graph (TEDG) of Sec III-A has a node
+``(r, t)`` per resource ``r`` (an FU or an RF) and cycle ``t``, and an
+edge from ``(r1, t)`` to ``(r2, t+1)`` when the value ``r1`` holds at
+``t`` can appear in ``r2`` at ``t+1``.  It is never materialised.  The
+search is a 0-1 BFS over TEDG states:
 
 - ``("rf", P, c)`` — the value sits in P's register file; instructions
   on P at cycles >= c can read it;
@@ -39,16 +43,17 @@ changing a single returned route:
   and parent choice of every goal-reaching state are untouched: the
   surviving search is bit-identical to the exhaustive one.
 - **Memoisation.**  The binder scores every placement of an op in
-  every live partial mapping, then builds the survivors, and these
-  keep issuing identical route queries.  A search reads only the
-  value's (immutable) availability event tuples, the goal, the budget,
-  the blacklist and the issue slots at cycles from the earliest event
-  up to the horizon — so callers may pass a ``memo`` dict (scoped to
-  one block attempt by the binder) keyed on exactly those, the slots
-  as ``window_key`` bitmasks.  Equal keys give equal routes whichever
-  partial mapping asks: a scored placement and its built clone share
-  entries, and both successful routes and failures are replayed
-  instead of re-searched.  Queries whose earliest event sits within
+  every live partial mapping, and sibling partial mappings keep
+  issuing identical route queries.  A search reads only the value's
+  (immutable) availability event tuples, the goal, the budget, the
+  blacklist and the issue slots at cycles from the earliest event up
+  to the horizon — so callers may pass a ``memo`` dict (scoped to one
+  block attempt by the binder) keyed on exactly those, the slots as
+  ``window_key`` bitmasks.  Equal keys give equal routes whichever
+  partial mapping asks: siblings share entries, and both successful
+  routes and failures are replayed instead of re-searched.  Building
+  a pruning survivor issues no queries; it commits the routes its
+  score found.  Queries whose earliest event sits within
   ``MEMO_MIN_GAP`` cycles of the horizon skip the memo: their search
   is cheaper than their key.
 """
@@ -360,8 +365,9 @@ def route_to_operand(pm, value_uid, tile, cycle,
     optional dict shared across partial mappings — replays
     previously-searched queries (see the module docstring).
     ``events`` — the value's ``(rf_events, port_events)`` tuples when
-    the caller holds them instead of ``pm`` (a scored placement that
-    is not built); by default they are read from ``pm``.
+    ``pm`` does not hold them: the binder's scorer passes the events
+    an unbuilt placement adds (a symbol's home, a result and its
+    earlier routes' MOVs); by default they are read from ``pm``.
     """
     if events is None:
         rf_events = pm.rf_avail.get(value_uid, ())

@@ -17,16 +17,17 @@ which the tile never wakes up cost nothing (the tile sleeps until the
 global block-end broadcast).
 
 Performance note: the binder scores every placement against its
-parent without copying it (``binder.score_bind``) and clones only the
-placements that survive pruning — about one in ten.  The scorer
-predicts a clone's value events, constants and cost with the rules
-the mapping itself applies (:func:`slot_words`, :func:`rf_events_with`,
-:func:`port_events_with`, :func:`crf_with`, via ``score_with``), so
-each rule has one definition; its route searches read the parent, or a
-:class:`SlotView` of it plus the MOVs they must see.  Per-value event
-containers are immutable tuples/frozensets, so ``clone()`` copies only
-the outer dicts (pointer copies), and updates replace the small inner
-values.
+parent without copying it (``binder.score_bind``), keeping the routes
+it found, and clones only the placements that survive pruning — about
+one in ten — to commit those routes without searching again.  The
+scorer predicts a clone's value events, constants and cost with the
+rules the mapping itself applies (:func:`slot_words`,
+:func:`rf_events_with`, :func:`port_events_with`, :func:`crf_with`,
+via ``score_with``), so each rule has one definition; its route
+searches read the parent, or a :class:`SlotView` of it plus the MOVs
+they must see.  Per-value event containers are immutable
+tuples/frozensets, so ``clone()`` copies only the outer dicts (pointer
+copies), and updates replace the small inner values.
 
 All context accounting is incremental: ``occupy`` maintains per-tile
 busy-cycle bitmasks, context words and the derived pruning aggregates
@@ -34,10 +35,10 @@ busy-cycle bitmasks, context words and the derived pruning aggregates
 O(1) per placed instruction, so ``cost()`` and the ACMAP/ECMAP fitness
 checks never rescan the schedule.  Per-tile words only ever grow while
 instructions are added (:func:`slot_words` is 0, 1 or 2), which is
-what makes the running-maximum pressure exact; the rare whole-schedule
-shifts (``stretch``/``compress``) shift the bitmasks and rebuild the
-aggregates outright.  The bitmasks also give the route memo its key
-(``window_key``).
+what makes the running-maximum pressure exact; the one whole-schedule
+shift (``compress``, on a block's chosen mapping) shifts the bitmasks
+and rebuilds the aggregates outright.  The bitmasks also give the
+route memo its key (``window_key``).
 """
 
 from __future__ import annotations
@@ -144,19 +145,6 @@ def pnop_blocks(occupied_cycles):
         if current > previous + 1:
             pnops += 1
     return pnops
-
-
-def pnop_upper_bound(n_busy, max_cycle):
-    """Cheap pessimistic bound on PNOPs (the ACMAP estimate).
-
-    With ``n_busy`` instructions whose last one sits at ``max_cycle``,
-    there can be at most one gap per instruction and no more gaps than
-    idle cycles in the window ``[0, max_cycle]``.
-    """
-    if n_busy == 0:
-        return 0
-    idle = max_cycle + 1 - n_busy
-    return min(n_busy, idle)
 
 
 class PartialMapping:
@@ -327,9 +315,8 @@ class PartialMapping:
 
         One bitmask per tile, shifted down by ``lo``: two mappings
         with equal keys occupy exactly the same slots at cycles
-        ``lo <= c < hi``, and a uniform shift of the whole schedule
-        (``stretch``) shifts the key's window with it.  The route
-        memo keys on this (see ``repro.mapping.routing``).
+        ``lo <= c < hi``.  The route memo keys on this (see
+        ``repro.mapping.routing``).
         """
         width = (1 << (hi - lo)) - 1
         return tuple(busy >> lo & width for busy in self._busy)
@@ -451,32 +438,23 @@ class PartialMapping:
         return (self._tile_words[tile] - self.committed.tile_instrs[tile]
                 - len(self.tile_cycles[tile]))
 
-    def approx_pnops(self, tile):
-        """ACMAP's pessimistic estimate: current gaps plus a reserve.
-
-        The reserve accounts for the gap the *next* placement may open
-        — cheap, over-counts for finished tiles, under-counts distant
-        futures, exactly the approximate behaviour Sec III-D.2
-        describes (keeps some unfitting mappings, drops some fitting
-        ones).
-        """
-        if not self.tile_cycles[tile]:
-            return 0
-        return self.exact_pnops(tile) + 1
-
-    def tile_context_words(self, tile, exact=True):
+    def tile_context_words(self, tile):
         """CM words this block needs on ``tile`` so far (+ committed)."""
-        words = self._tile_words[tile]
-        if exact or not self.tile_cycles[tile]:
-            return words
-        return words + 1
+        return self._tile_words[tile]
 
     def fits_exact(self):
         """True when every tile's exact words fit its context memory."""
         return self._n_over_exact == 0
 
     def fits_approx(self):
-        """True under ACMAP's pessimistic per-tile estimate."""
+        """True under ACMAP's pessimistic per-tile estimate.
+
+        A busy tile's estimate is its exact words plus a one-word
+        reserve for the gap the *next* placement may open — cheap,
+        over-counts for finished tiles, under-counts distant futures,
+        exactly the approximate behaviour Sec III-D.2 describes (keeps
+        some unfitting mappings, drops some fitting ones).
+        """
         return self._n_over_approx == 0
 
     def block_usage(self):
@@ -503,47 +481,8 @@ class PartialMapping:
             self.new_homes[symbol] = tile
 
     # ------------------------------------------------------------------
-    # Schedule stretching (re-route slack transformation)
+    # Schedule compression (a block's chosen mapping)
     # ------------------------------------------------------------------
-    def stretch(self, delta):
-        """Shift every scheduled event ``delta`` cycles later.
-
-        Block-entry availability (cycle-0 RF events: symbol variables
-        at their home tiles) does not move — those values are present
-        before the block starts.
-        """
-        if delta <= 0:
-            raise MappingError("stretch delta must be positive")
-        self.length += delta
-        self.placements = {uid: (tile, cycle + delta)
-                           for uid, (tile, cycle) in self.placements.items()}
-        self.tile_cycles = {
-            tile: {cycle + delta: desc for cycle, desc in cycles.items()}
-            for tile, cycles in self.tile_cycles.items()
-        }
-        self._owned = set(self.tile_cycles)
-        self.rf_avail = {
-            uid: tuple((tile, cycle + delta if cycle > 0 else 0)
-                       for tile, cycle in events)
-            for uid, events in self.rf_avail.items()
-        }
-        self.port_events = {
-            uid: tuple((tile, cycle + delta) for tile, cycle in events)
-            for uid, events in self.port_events.items()
-        }
-        chain = None
-        for tile, cycle, uid in self.movs:
-            chain = (chain, (tile, cycle + delta, uid))
-        self._mov_chain = chain
-        # A uniform shift preserves every inter-instruction gap; only
-        # tiles that started at cycle 0 gain a leading idle run (one
-        # new PNOP).
-        for tile, busy in enumerate(self._busy):
-            if busy & 1:
-                self._tile_words[tile] += 1
-        self._busy = [busy << delta for busy in self._busy]
-        self._init_aggregates()
-
     def compress(self):
         """Trim leading and trailing idle cycles off the schedule.
 

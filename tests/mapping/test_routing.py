@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.configs import get_config
+from repro.errors import MappingError
 from repro.mapping.routing import (
     commit_route,
     route_to_operand,
@@ -74,6 +75,17 @@ class TestMovRoutes:
         tile, cycle = route.movs[0]
         assert not pm.slot_free(tile, cycle)
         assert pm.readable_at(1, 5, 2)
+
+    def test_commit_onto_a_taken_slot_raises(self, cgra):
+        # A route is committed without a second search, so a MOV slot
+        # taken since the route was found must fail loudly.
+        pm = fresh(cgra)
+        pm.record_production(1, tile=0, cycle=0)
+        route = route_to_operand(pm, 1, tile=5, cycle=2)
+        tile, cycle = route.movs[0]
+        pm.place_op(2, tile, cycle)
+        with pytest.raises(MappingError):
+            commit_route(pm, 1, route)
 
     def test_distant_tile_distance_hops(self, cgra):
         # Tile 0 to tile 10 is the torus diameter region.

@@ -8,7 +8,6 @@ from repro.mapping.state import (
     CommittedState,
     PartialMapping,
     pnop_blocks,
-    pnop_upper_bound,
 )
 
 
@@ -41,15 +40,6 @@ class TestPnopAccounting:
     def test_trailing_idle_free(self):
         # Cycles after the last instruction need no pnop.
         assert pnop_blocks([0, 1]) == pnop_blocks([0, 1])
-
-    def test_upper_bound_dominates_exact(self):
-        for busy in ([0], [3], [0, 4], [1, 3, 7], [0, 1, 2, 9]):
-            exact = pnop_blocks(busy)
-            bound = pnop_upper_bound(len(busy), max(busy))
-            assert bound >= exact
-
-    def test_upper_bound_empty(self):
-        assert pnop_upper_bound(0, 0) == 0
 
 
 class TestSlots:
@@ -146,14 +136,14 @@ class TestWindowKey:
         pm.occupy(0, 5, ("mov", 9))
         assert pm.window_key(2, 6) != again
 
-    def test_stretch_shifts_the_window(self, pm):
-        pm.place_op(1, 0, 0)
-        pm.place_op(2, 3, 4)
-        pm.add_mov(7, 2, 9)
-        before = pm.window_key(1, 6)
-        pm.stretch(3)
-        assert pm.window_key(4, 9) == before
-        assert pm.window_key(1, 6) != before
+    def test_compress_shifts_the_window(self, pm):
+        pm.place_op(1, 0, 2)
+        pm.place_op(2, 3, 5)
+        pm.add_mov(7, 4, 9)
+        before = pm.window_key(2, 7)
+        pm.compress()
+        assert pm.window_key(0, 5) == before
+        assert pm.window_key(2, 7) != before
 
 
 class TestConstants:
@@ -170,25 +160,36 @@ class TestConstants:
         assert not pm.register_const(0, capacity + 1)
 
 
-class TestStretch:
-    def test_stretch_shifts_everything(self, pm):
-        pm.place_op(1, 0, 2)
-        pm.record_production(9, 0, 2)
-        pm.add_mov(1, 3, 9)
-        pm.stretch(2)
-        assert pm.placements[1] == (0, 4)
-        assert pm.rf_cycle(9, 0) == 5
-        assert pm.movs == [(1, 5, 9)]
-        assert pm.length == 10
+class TestCompress:
+    def test_compress_shifts_everything_by_the_lead(self, pm):
+        pm.place_op(1, 0, 3)
+        pm.record_production(9, 0, 3)
+        pm.add_mov(1, 4, 9)
+        pm.record_production(9, 1, 4)
+        pm.compress()
+        assert pm.placements[1] == (0, 0)
+        assert pm.rf_avail[9] == ((0, 1), (1, 2))
+        assert pm.port_events[9] == ((0, 1), (1, 2))
+        assert pm.movs == [(1, 1, 9)]
+        assert pm.tile_cycles[1] == {1: ("mov", 9)}
 
-    def test_stretch_keeps_block_entry_events(self, pm):
+    def test_compress_keeps_block_entry_events(self, pm):
         pm.add_rf_event(3, 0, 0)  # symbol at home since block entry
-        pm.stretch(3)
+        pm.place_op(1, 0, 3)
+        pm.compress()
+        assert pm.placements[1] == (0, 0)
         assert pm.rf_cycle(3, 0) == 0
 
-    def test_stretch_requires_positive_delta(self, pm):
-        with pytest.raises(MappingError):
-            pm.stretch(0)
+    def test_compress_trims_trailing_idle(self, pm, cgra):
+        pm.place_op(1, 2, 1)
+        pm.place_op(2, 3, 3)
+        assert pm.length == 8
+        pm.compress()
+        assert pm.placements == {1: (2, 0), 2: (3, 2)}
+        assert pm.length == 3
+        empty = PartialMapping(cgra, CommittedState(cgra), length=8)
+        empty.compress()
+        assert empty.length == 1
 
 
 class TestContextAccounting:
@@ -197,7 +198,7 @@ class TestContextAccounting:
         pm = PartialMapping(cgra, committed, 4)
         pm.place_op(1, 0, 1)
         # committed 5 + 1 op + 1 leading pnop
-        assert pm.tile_context_words(0, exact=True) == 7
+        assert pm.tile_context_words(0) == 7
 
     def test_block_usage(self, pm):
         pm.place_op(1, 0, 0)

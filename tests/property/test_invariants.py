@@ -10,7 +10,6 @@ from repro.mapping.state import (
     CommittedState,
     PartialMapping,
     pnop_blocks,
-    pnop_upper_bound,
 )
 
 cycles_sets = st.sets(st.integers(min_value=0, max_value=63),
@@ -19,13 +18,6 @@ cycles_sets = st.sets(st.integers(min_value=0, max_value=63),
 
 class TestPnopProperties:
     @given(cycles_sets)
-    def test_upper_bound_dominates_exact(self, cycles):
-        if not cycles:
-            return
-        assert (pnop_upper_bound(len(cycles), max(cycles))
-                >= pnop_blocks(cycles))
-
-    @given(cycles_sets)
     def test_incremental_matches_reference(self, cycles):
         cgra = get_config("HOM64")
         pm = PartialMapping(cgra, CommittedState(cgra), 64)
@@ -33,15 +25,29 @@ class TestPnopProperties:
             pm.occupy(0, cycle, ("op", index))
         assert pm.exact_pnops(0) == pnop_blocks(cycles)
 
-    @given(cycles_sets, st.integers(min_value=1, max_value=5))
-    def test_incremental_survives_stretch(self, cycles, delta):
-        cgra = get_config("HOM64")
-        pm = PartialMapping(cgra, CommittedState(cgra), 64)
-        for index, cycle in enumerate(sorted(cycles)):
-            pm.occupy(0, cycle, ("op", index))
-        pm.stretch(delta)
-        shifted = {cycle + delta for cycle in cycles}
-        assert pm.exact_pnops(0) == pnop_blocks(shifted)
+    @given(cycles_sets, cycles_sets)
+    def test_incremental_survives_compress(self, first, second):
+        # compress shifts every tile by the same lead; its incremental
+        # words and aggregates must equal a mapping built afresh from
+        # the shifted cycles.
+        cgra = get_config("HET2")
+        committed = CommittedState(cgra)
+        pm = PartialMapping(cgra, committed, 64)
+        for tile, cycles in ((0, first), (8, second)):
+            for cycle in sorted(cycles, key=hash):
+                pm.occupy(tile, cycle, ("op", (tile, cycle)))
+        pm.compress()
+        lead = min(first | second, default=0)
+        fresh = PartialMapping(cgra, committed, 64)
+        for tile, cycles in ((0, first), (8, second)):
+            for cycle in cycles:
+                fresh.occupy(tile, cycle - lead, ("op", (tile, cycle)))
+            assert pm.exact_pnops(tile) == pnop_blocks(
+                {cycle - lead for cycle in cycles})
+        assert pm.block_usage() == fresh.block_usage()
+        assert pm.cost() == fresh.cost()
+        assert pm.fits_exact() == fresh.fits_exact()
+        assert pm.fits_approx() == fresh.fits_approx()
 
     @given(cycles_sets)
     def test_compress_never_increases_words(self, cycles):

@@ -118,12 +118,15 @@ class TestResolveRequest:
         ("options.presplit_alu_fanout", -1),
         ("options.max_route_movs", -1), ("options.finalize_slack", -20),
         ("options.seed", -1), ("options.traversal", "bogus"),
-        ("seed", -1),
+        ("seed", -1), ("options.cycle_window", 0),
+        ("options.cycle_window", -2), ("options.max_recomputes", -1),
+        ("options.max_cm_retries", -3),
     ])
     def test_out_of_range_spec_field_is_a_request_error_naming_it(
             self, field, value):
-        # Each of these used to be accepted and then either answer a
-        # wrong "unmappable" without a real attempt or crash the point.
+        # Each of these used to be accepted and then answer a wrong
+        # "unmappable" without a real attempt, crash the point, or map
+        # it as another value under a key of its own.
         spec = spec_to_json(PointSpec("dc_filter", "HOM64", "full"))
         if field.startswith("options."):
             field = field.removeprefix("options.")
