@@ -3,7 +3,7 @@
 Paper: the HOM64 CGRA is about twice the CPU area; the heterogeneous
 configurations reduce the context-memory share and shrink the total
 (paper: ~1.5x; our model, anchored on CM = 40% of a PE, lands at
-~1.75x — see EXPERIMENTS.md for the discussion).
+~1.75x).
 """
 
 from repro.eval.experiments import fig11_data

@@ -151,19 +151,21 @@ class EvaluationContext:
     """What a strategy sees: evaluate pairs, book free answers.
 
     Owns the results table, the budget meter and the runtime plumbing
-    (workers / cache / progress / mp context).  ``evaluate`` silently
-    dedupes pairs already answered and clips to the remaining budget
-    — a strategy never needs budget arithmetic of its own.
+    (workers / cache / progress / mp context / point deadline).
+    ``evaluate`` silently dedupes pairs already answered and clips to
+    the remaining budget — a strategy never needs budget arithmetic of
+    its own.
     """
 
     def __init__(self, config, workers=1, cache=None, progress=None,
-                 mp_context=None):
+                 mp_context=None, point_timeout=None):
         self.config = config
         self.objectives = config.objectives
         self.workers = workers
         self.cache = cache
         self.progress = progress
         self.mp_context = mp_context
+        self.point_timeout = point_timeout
         self.results = {}  # (design name, kernel) -> ExperimentPoint
         self.statics = set()  # pairs proven unmappable for free
         self.spent = 0
@@ -232,7 +234,8 @@ class EvaluationContext:
         answered = {}
         for spec, point in stream_specs(
                 list(by_spec), workers=self.workers, cache=self.cache,
-                progress=tick, mp_context=self.mp_context):
+                progress=tick, mp_context=self.mp_context,
+                point_timeout=self.point_timeout):
             if point.error not in DETERMINISTIC_ERRORS:
                 raise ReproError(f"{spec.describe()}: {point.error}")
             key = by_spec[spec]
@@ -333,7 +336,7 @@ class ExplorationResult:
 
 
 def run_exploration(config, workers=1, cache=None, progress=None,
-                    mp_context=None):
+                    mp_context=None, point_timeout=None):
     """Execute one exploration end to end.
 
     The frontier is computed over *complete* designs (every kernel
@@ -351,13 +354,15 @@ def run_exploration(config, workers=1, cache=None, progress=None,
                     designs=len(config.designs),
                     kernels=len(config.kernels)):
         return _run_exploration(config, workers, cache, progress,
-                                mp_context)
+                                mp_context, point_timeout)
 
 
-def _run_exploration(config, workers, cache, progress, mp_context):
+def _run_exploration(config, workers, cache, progress, mp_context,
+                     point_timeout):
     started = time.perf_counter()
     ctx = EvaluationContext(config, workers=workers, cache=cache,
-                            progress=progress, mp_context=mp_context)
+                            progress=progress, mp_context=mp_context,
+                            point_timeout=point_timeout)
     strategy = make_strategy(config.strategy, seed=config.seed)
     strategy.run(list(config.designs), list(config.kernels), ctx)
 

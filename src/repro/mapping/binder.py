@@ -46,6 +46,12 @@ from repro.mapping.state import (
     rf_events_with,
 )
 
+#: Cycles per tile a placement scan tries before the full-window rescan.
+CYCLE_WINDOW = 8
+
+#: Cycles past the schedule end a symbol may take to land in its home.
+FINALIZE_SLACK = 6
+
 
 class BindContext:
     """Per-block constant data shared by all binding calls."""
@@ -69,10 +75,8 @@ class BindContext:
         #: route-query memo shared by every sibling partial mapping of
         #: this block attempt (see repro.mapping.routing)
         self.route_memo = {}
-        #: hot-path copies of the flow options the binder reads per
-        #: candidate
+        #: hot-path copy of the flow option read per candidate
         self.cab = options.cab
-        self.max_route_movs = options.max_route_movs
         #: op uid -> needs an LSU tile (precomputed opcode class)
         self.is_memory = {op.uid: opcodes.is_memory(op.opcode)
                           for op in dfg.ops}
@@ -162,7 +166,7 @@ def score_bind(ctx, pm, op, tile, cycle):
     :func:`try_bind` builds from them.
     """
     blacklist = pm.blacklist if ctx.cab else frozenset()
-    max_movs = ctx.max_route_movs
+    max_movs = routing.MAX_ROUTE_MOVS
     memo = ctx.route_memo
     # (value uid, Route) for every route that adds MOVs; a tuple, so
     # the many candidates without one allocate nothing for it
@@ -277,14 +281,14 @@ def _route_home(ctx, candidate, uid, target, blacklist):
     avoids the blacklisted tiles, retry without the blacklist and let
     ECMAP arbitrate whether the result still fits.
     """
-    deadline = candidate.length + ctx.options.finalize_slack
+    deadline = candidate.length + FINALIZE_SLACK
     route = routing.route_to_rf(
         candidate, uid, target, deadline,
-        ctx.max_route_movs, blacklist, ctx.route_memo)
+        routing.MAX_ROUTE_MOVS, blacklist, ctx.route_memo)
     if route is None and blacklist:
         route = routing.route_to_rf(
             candidate, uid, target, deadline,
-            ctx.max_route_movs, memo=ctx.route_memo)
+            routing.MAX_ROUTE_MOVS, memo=ctx.route_memo)
     return route
 
 
@@ -390,7 +394,7 @@ def _rf_pressure_ok(candidate):
 def bind_candidates(ctx, pm, op, full_window=False):
     """Scored extensions of ``pm`` placing ``op`` (one cycle per tile).
 
-    Cycles are scanned latest-first within ``options.cycle_window`` so
+    Cycles are scanned latest-first within :data:`CYCLE_WINDOW` so
     schedules stay tight, and each tile keeps its first placement that
     scores; the earliest legal cycle is the op's ASAP level (its
     dependence depth needs that many earlier cycles).  ``full_window``
@@ -424,8 +428,7 @@ def bind_candidates(ctx, pm, op, full_window=False):
         if full_window:
             window_floor = earliest
         else:
-            window_floor = max(earliest,
-                               latest - ctx.options.cycle_window + 1)
+            window_floor = max(earliest, latest - CYCLE_WINDOW + 1)
         occupied = pm.tile_cycles[tile]
         for cycle in range(latest, window_floor - 1, -1):
             if cycle in occupied:

@@ -41,22 +41,27 @@ from repro.mapping.state import CommittedState, PartialMapping
 from repro.mapping.traversal import TRAVERSALS, block_order
 
 #: Least value of each bounded FlowOptions field: below it the flow
-#: would skip its attempts, routes or slack (a wrong "unmappable"),
-#: crash, or read it as another value (a cycle window of 0 or less
-#: scans nothing before the full-window rescan, a negative retry
-#: budget acts as 0) that would be computed and cached under its own
-#: key.
-_OPTION_FLOORS = {
-    "max_attempts": 1, "prune_cap": 1, "presplit_load_fanout": 1,
-    "presplit_alu_fanout": 1, "max_route_movs": 0, "finalize_slack": 0,
-    "seed": 0, "cycle_window": 1, "max_recomputes": 0,
-    "max_cm_retries": 0,
-}
+#: would skip its attempts (a wrong "unmappable") or crash.
+_OPTION_FLOORS = {"max_attempts": 1, "prune_cap": 1, "seed": 0}
+
+#: Re-computation splits one block may apply on binding failures.
+MAX_RECOMPUTES = 8
+
+#: Context-memory failures one block retries before it stretches.
+MAX_CM_RETRIES = 3
 
 
 @dataclasses.dataclass(frozen=True)
 class FlowOptions:
-    """Knobs of the mapping flow.
+    """What a caller chooses about the mapping flow.
+
+    ``traversal``, ``acmap``, ``ecmap`` and ``cab`` select the paper's
+    flow variants (see :data:`VARIANTS`); ``prune_cap`` is the
+    stochastic pruning threshold the pruning ablation varies;
+    ``max_attempts`` is a block's retry budget, which tight
+    design-space sweeps lower; ``seed`` seeds the pruning stream.  The
+    flow's other bounds have one value each and live as constants in
+    the module that reads them.
 
     The default instance is the *basic* flow of Das et al. TCAD'18:
     forward traversal, stochastic pruning only, no context-memory
@@ -69,14 +74,7 @@ class FlowOptions:
     cab: bool = False
     prune_cap: int = 12
     seed: int = 2019
-    cycle_window: int = 8
-    max_route_movs: int = 8
     max_attempts: int = 18
-    max_recomputes: int = 8
-    max_cm_retries: int = 3
-    presplit_load_fanout: int = 2
-    presplit_alu_fanout: int = 6
-    finalize_slack: int = 6
 
     def __post_init__(self):
         if self.traversal not in TRAVERSALS:
@@ -195,9 +193,7 @@ def _initial_length(dfg, cgra):
 def _map_block(kernel_name, block, cgra, committed, options):
     """Map one basic block, applying transformations on failure."""
     original = block.dfg
-    working = transforms.presplit_high_fanout(
-        original, options.presplit_load_fanout,
-        options.presplit_alu_fanout)
+    working = transforms.presplit_high_fanout(original)
     length = _initial_length(working, cgra)
     cm_retries = 0
     recomputes = 0
@@ -222,10 +218,10 @@ def _map_block(kernel_name, block, cgra, committed, options):
                 # longer schedules open issue slots on the tiles that
                 # still have context budget.
                 cm_retries += 1
-                if cm_retries <= options.max_cm_retries:
+                if cm_retries <= MAX_CM_RETRIES:
                     continue
             if (failure.op_uid is not None
-                    and recomputes < options.max_recomputes
+                    and recomputes < MAX_RECOMPUTES
                     and attempt % 2 == 1):
                 try:
                     working = transforms.recompute_split(

@@ -374,7 +374,7 @@ def route_to_operand(pm, value_uid, tile, cycle,
         port_events = pm.port_events.get(value_uid, ())
     else:
         rf_events, port_events = events
-    # Inlined readable_at: already-readable values route for free.
+    # A value already readable at (tile, cycle) routes for free.
     for event_tile, event_cycle in rf_events:
         if event_tile == tile:
             if event_cycle <= cycle:

@@ -10,11 +10,11 @@ Cross-block state — instructions already committed to each tile's
 context memory and the symbol-variable home tiles (location
 constraints) — lives in the immutable :class:`CommittedState`.
 
-Context-word accounting follows the PE contract (DESIGN.md Sec 5):
-per block, a tile stores its operations and MOVs plus one PNOP per
-idle gap *before or between* them; trailing idle cycles and blocks in
-which the tile never wakes up cost nothing (the tile sleeps until the
-global block-end broadcast).
+Context-word accounting follows the PE contract: per block, a tile
+stores its operations and MOVs plus one PNOP per idle gap *before or
+between* them; trailing idle cycles and blocks in which the tile never
+wakes up cost nothing (the tile sleeps until the global block-end
+broadcast).
 
 Performance note: the binder scores every placement against its
 parent without copying it (``binder.score_bind``), keeping the routes
@@ -402,19 +402,6 @@ class PartialMapping:
                 return event_cycle
         return None
 
-    def readable_at(self, value_uid, tile, cycle):
-        """Can an instruction on ``tile`` at ``cycle`` read the value?"""
-        rf = self.rf_cycle(value_uid, tile)
-        if rf is not None and rf <= cycle:
-            return True
-        events = self.port_events.get(value_uid)
-        if events:
-            neighbors = self.cgra.neighbor_table[tile]
-            for event_tile, event_cycle in events:
-                if event_cycle == cycle and event_tile in neighbors:
-                    return True
-        return False
-
     # ------------------------------------------------------------------
     # Constants (CRF)
     # ------------------------------------------------------------------
@@ -430,9 +417,6 @@ class PartialMapping:
     # ------------------------------------------------------------------
     # Context-memory accounting
     # ------------------------------------------------------------------
-    def tile_busy_count(self, tile):
-        return len(self.tile_cycles[tile])
-
     def exact_pnops(self, tile):
         """Exact PNOP count (words not taken by an instruction)."""
         return (self._tile_words[tile] - self.committed.tile_instrs[tile]

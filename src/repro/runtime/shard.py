@@ -44,7 +44,7 @@ import heapq
 import json
 
 from repro.errors import ReproError
-from repro.mapping.flow import FlowOptions
+from repro.mapping.flow import VARIANTS, FlowOptions
 from repro.runtime.cache import point_key, spec_payload
 from repro.runtime.sweep import (
     PointSpec,
@@ -263,6 +263,14 @@ def _typed(name, value, kind, least=None):
     return value
 
 
+def _named(name, value, valid):
+    """A ValueError naming the field and the valid names unless
+    ``value`` is one of ``valid``."""
+    if value not in valid:
+        raise ValueError(f"spec field {name!r} must be one of "
+                         f"{sorted(valid)}, got {value!r}")
+
+
 def spec_from_json(data):
     """Rebuild a resolved :class:`PointSpec` from its JSON dict.
 
@@ -270,16 +278,25 @@ def spec_from_json(data):
     integers (not booleans) for ``seed``, ``rows``, ``cols`` and the
     ``cm_depths`` entries, and each ``options`` value the type of its
     :class:`FlowOptions` field; ``seed`` must be at least 0, and the
-    options within the ranges ``FlowOptions`` checks.  A bad field
-    raises a ValueError that names it: a ``true`` seed would compute
-    the ``1`` point under another key, a ``null`` one would draw its
-    inputs from OS entropy, and a negative one crashes the input
-    generator.
+    options within the ranges ``FlowOptions`` checks; the kernel and
+    variant must be known names, and so must the config unless
+    ``cm_depths`` makes it a free label (the name sets
+    :func:`~repro.runtime.sweep.validated_sweep_specs` checks).  A bad
+    field raises a ValueError that names it: a ``true`` seed would
+    compute the ``1`` point under another key, a ``null`` one would
+    draw its inputs from OS entropy, a negative one crashes the input
+    generator, and an unknown name crashes the point or caches it
+    under a label that names nothing.
     """
+    from repro.arch.configs import CGRA_CONFIGS
+    from repro.kernels import KERNEL_NAMES
     from repro.runtime.backends import DEFAULT_BACKEND
 
-    names = [_typed(name, data[name], str)
-             for name in ("kernel", "config", "variant")]
+    kernel, config, variant = [
+        _typed(name, data[name], str)
+        for name in ("kernel", "config", "variant")]
+    _named("kernel", kernel, KERNEL_NAMES)
+    _named("variant", variant, VARIANTS)
     options = data.get("options")
     if options is not None:
         unknown = set(_typed("options", options, dict)) - set(_OPTION_TYPES)
@@ -292,9 +309,11 @@ def spec_from_json(data):
     if cm_depths is not None:
         cm_depths = tuple(_typed("cm_depths", depth, int, least=1)
                           for depth in _typed("cm_depths", cm_depths, list))
+    else:
+        _named("config", config.upper(), CGRA_CONFIGS)
     rows, cols = data.get("rows"), data.get("cols")
     return PointSpec(
-        *names, options=options,
+        kernel, config, variant, options=options,
         seed=_typed("seed", data["seed"], int, least=0),
         cm_depths=cm_depths,
         rows=rows if rows is None else _typed("rows", rows, int, least=1),

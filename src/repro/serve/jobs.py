@@ -575,8 +575,8 @@ class JobManager:
         # a killed predecessor left queued or running.
         self.journal = journal
         self.replay_stats = None
-        # Per-point deadline forwarded to every sweep's streaming
-        # engine, so one wedged point cannot hang a job forever.
+        # Per-point deadline forwarded to every job's streaming engine,
+        # so one wedged point cannot hang a job forever.
         self.point_timeout = point_timeout
         # Retention policy for terminal jobs; ``None`` disables the
         # corresponding bound.  Queued/running jobs never evict.
@@ -930,7 +930,8 @@ class JobManager:
                 result = run_exploration(
                     job.request.config, workers=workers,
                     cache=self.cache, progress=observe,
-                    mp_context=self._mp_context)
+                    mp_context=self._mp_context,
+                    point_timeout=self.point_timeout)
         payload = result.payload()
         self._attach_trace(job, payload)
         return payload

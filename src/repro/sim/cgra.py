@@ -1,7 +1,7 @@
 """Lockstep cycle-level execution of an assembled program.
 
 Substitute for the paper's RTL + QuestaSim runs.  Implements the PE
-contract exactly as the mapper assumes it (DESIGN.md Sec 5):
+contract exactly as the mapper assumes it:
 
 - per block, all tiles run ``L`` cycles in lockstep;
 - results land in the producing tile's RF and appear on its output

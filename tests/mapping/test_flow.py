@@ -101,23 +101,6 @@ class TestFlowVariants:
         assert a.total_movs == b.total_movs
 
 
-class TestFlowOptions:
-    @pytest.mark.parametrize("name,least", [
-        ("cycle_window", 1), ("max_recomputes", 0), ("max_cm_retries", 0)])
-    def test_value_below_its_floor_is_rejected(self, name, least):
-        # Below these floors the flow used to read the value as another
-        # one (an empty cycle scan, or no retries) instead of refusing it.
-        with pytest.raises(ValueError, match=name):
-            FlowOptions(**{name: least - 1})
-        assert getattr(FlowOptions(**{name: least}), name) == least
-
-    def test_narrowest_cycle_window_maps(self, fir_kernel):
-        result = map_kernel(fir_kernel.cdfg, get_config("HOM64"),
-                            FlowOptions.basic(cycle_window=1))
-        assert result.options.cycle_window == 1
-        assert result.total_ops > 0
-
-
 class TestUnmappable:
     def test_hopeless_config_raises(self, fir_kernel):
         # Two-word context memories cannot hold any real kernel.

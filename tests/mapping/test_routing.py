@@ -74,7 +74,7 @@ class TestMovRoutes:
         assert pm.n_movs == 1
         tile, cycle = route.movs[0]
         assert not pm.slot_free(tile, cycle)
-        assert pm.readable_at(1, 5, 2)
+        assert route_to_operand(pm, 1, tile=5, cycle=2).movs == []
 
     def test_commit_onto_a_taken_slot_raises(self, cgra):
         # A route is committed without a second search, so a MOV slot

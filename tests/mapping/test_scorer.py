@@ -35,10 +35,10 @@ def reference_bind(ctx, pm, op, tile, cycle, route_to_operand):
 
     def route(uid, at_tile, at_cycle, retry_without_blacklist=False):
         found = route_to_operand(built, uid, at_tile, at_cycle,
-                                 ctx.max_route_movs, blacklist)
+                                 routing.MAX_ROUTE_MOVS, blacklist)
         if found is None and blacklist and retry_without_blacklist:
             found = route_to_operand(built, uid, at_tile, at_cycle,
-                                     ctx.max_route_movs)
+                                     routing.MAX_ROUTE_MOVS)
         if found is None:
             return False
         routing.commit_route(built, uid, found)
@@ -140,9 +140,16 @@ class ScorerCheck:
         monkeypatch.setattr(binder, "SlotView", CountedSlotView)
 
 
-def _tight_design():
+#: Shallow context-memory designs, by name: per-tile depths.
+_TIGHT_DEPTHS = {
+    "row8-8-16-16": (8,) * 8 + (16,) * 8,
+    "row8-24-8-16": (8,) * 4 + (24,) * 4 + (8,) * 4 + (16,) * 4,
+}
+
+
+def _tight_design(name="row8-8-16-16"):
     """Shallow context memories and the DSE ladder's attempt budget."""
-    return (Design("row8-8-16-16", (8,) * 8 + (16,) * 8).build_cgra(),
+    return (Design(name, _TIGHT_DEPTHS[name]).build_cgra(),
             FlowOptions.aware(max_attempts=10))
 
 
@@ -217,17 +224,24 @@ def test_build_issues_no_route_query(monkeypatch):
     assert counts["routes"] > 0
 
 
-@pytest.mark.parametrize("kernel,design,blacklisted_keys", [
-    pytest.param("dc_filter", "HOM32", 0, id="dc_filter"),
-    pytest.param("fft", "HOM32", 0, marks=pytest.mark.slow,
-                 id="fft"),
-    # CAB blacklists tiles here, so some memo keys carry a blacklist.
-    pytest.param("fir", "row8-8-16-16", 1, id="fir@row8-8-16-16"),
-])
+@pytest.mark.parametrize(
+    "kernel,design,blacklisted_keys,blacklisted_hits", [
+        pytest.param("dc_filter", "HOM32", 0, 0, id="dc_filter"),
+        pytest.param("fft", "HOM32", 0, 0, marks=pytest.mark.slow,
+                     id="fft"),
+        # CAB blacklists tiles here, so some memo keys carry a
+        # blacklist ...
+        pytest.param("fir", "row8-8-16-16", 1, 0,
+                     id="fir@row8-8-16-16"),
+        # ... and here some of those entries are replayed.
+        pytest.param("dc_filter", "row8-24-8-16", 1, 1,
+                     id="dc_filter@row8-24-8-16"),
+    ])
 def test_memo_hits_equal_fresh_searches(monkeypatch, kernel, design,
-                                        blacklisted_keys):
+                                        blacklisted_keys,
+                                        blacklisted_hits):
     memoised = routing._memoised
-    hits = []
+    hits = []  # the blacklist of every replayed (re-searched) query
     blacklisted = []  # memo-keyed queries with a non-empty blacklist
 
     def checked(search, memo, kind, pm, rf_events, port_events, tile,
@@ -246,14 +260,15 @@ def test_memo_hits_equal_fresh_searches(monkeypatch, kernel, design,
                                max_movs, blacklist)
                 assert (None if route is None else route.movs) == \
                     (None if fresh is None else fresh.movs)
-                hits.append(kind)
+                hits.append(blacklist)
         return route
 
     monkeypatch.setattr(routing, "_memoised", checked)
     if design == "HOM32":
         cgra, options = get_config("HOM32"), VARIANTS["full"]()
     else:
-        cgra, options = _tight_design()
+        cgra, options = _tight_design(design)
     map_kernel(get_kernel(kernel).cdfg, cgra, options)
     assert len(hits) > 100
     assert len(blacklisted) >= blacklisted_keys
+    assert sum(1 for blacklist in hits if blacklist) >= blacklisted_hits

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch.configs import get_config
 from repro.errors import MappingError
+from repro.mapping.routing import route_to_operand
 from repro.mapping.state import (
     CommittedState,
     PartialMapping,
@@ -19,6 +20,14 @@ def cgra():
 @pytest.fixture
 def pm(cgra):
     return PartialMapping(cgra, CommittedState(cgra), length=8)
+
+
+def readable(pm, value_uid, tile, cycle):
+    """Can an instruction on ``tile`` at ``cycle`` read the value as it
+    stands?  Exactly then ``route_to_operand`` returns an empty route;
+    elsewhere it returns None or a route with MOVs."""
+    route = route_to_operand(pm, value_uid, tile, cycle)
+    return route is not None and not route.movs
 
 
 class TestPnopAccounting:
@@ -85,19 +94,19 @@ class TestEvents:
 
     def test_readable_from_rf(self, pm):
         pm.add_rf_event(7, 0, 2)
-        assert not pm.readable_at(7, 0, 1)
-        assert pm.readable_at(7, 0, 2)
+        assert not readable(pm, 7, 0, 1)
+        assert readable(pm, 7, 0, 2)
 
     def test_readable_from_neighbor_port(self, pm, cgra):
         pm.add_port_event(7, tile=0, cycle=3)
         neighbor = cgra.neighbors(0)[0]
-        assert pm.readable_at(7, neighbor, 3)
-        assert not pm.readable_at(7, neighbor, 4)
+        assert readable(pm, 7, neighbor, 3)
+        assert not readable(pm, 7, neighbor, 4)
 
     def test_port_not_readable_from_distance(self, pm):
         pm.add_port_event(7, tile=0, cycle=3)
         # Tile 10 is not a neighbour of 0 on the 4x4 torus.
-        assert not pm.readable_at(7, 10, 3)
+        assert not readable(pm, 7, 10, 3)
 
 
 class TestClone:

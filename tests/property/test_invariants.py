@@ -57,9 +57,9 @@ class TestPnopProperties:
         pm = PartialMapping(cgra, CommittedState(cgra), 64)
         for index, cycle in enumerate(sorted(cycles)):
             pm.occupy(0, cycle, ("op", index))
-        before = pm.tile_busy_count(0) + pm.exact_pnops(0)
+        before = len(pm.tile_cycles[0]) + pm.exact_pnops(0)
         pm.compress()
-        after = pm.tile_busy_count(0) + pm.exact_pnops(0)
+        after = len(pm.tile_cycles[0]) + pm.exact_pnops(0)
         assert after <= before
         assert pm.exact_pnops(0) == pnop_blocks(pm.tile_cycles[0].keys())
 

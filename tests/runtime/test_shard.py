@@ -371,6 +371,15 @@ class TestMerge:
                            match="malformed sweep payload.*'seed'"):
             rebuild(payloads)
 
+    def test_unknown_kernel_is_a_malformed_payload(self):
+        # It used to be read back as a spec and fail only the
+        # fingerprint check, which cannot say which field is wrong.
+        _, payloads = shard_payloads(self.SPECS, 1)
+        payloads[0]["points"][-1]["spec"]["kernel"] = "nope"
+        with pytest.raises(ReproError, match="malformed sweep payload"
+                           ".*'kernel' must be one of"):
+            merge_sweep_payloads(payloads)
+
     def test_out_of_range_option_is_a_malformed_payload(self):
         _, payloads = shard_payloads(self.SPECS, 1)
         payloads[0]["points"][-1]["spec"]["options"]["max_attempts"] = 0

@@ -70,6 +70,30 @@ class TestExplorationJobs:
         assert [record["pos"] for record in records] \
             == list(range(len(records)))
 
+    def test_point_deadline_reaches_the_exploration(self, fake_compute,
+                                                     monkeypatch):
+        # An exploration job streams its points under the manager's
+        # deadline, like a sweep job, so a wedged point is reaped.
+        from repro.dse import runner
+
+        stream_specs = runner.stream_specs
+        deadlines = []
+
+        def recorded(specs, **kwargs):
+            deadlines.append(kwargs.pop("point_timeout", None))
+            # Compute inline with the fake: no reappable workers here.
+            return stream_specs(specs, point_timeout=None, **kwargs)
+
+        monkeypatch.setattr(runner, "stream_specs", recorded)
+        manager = JobManager(workers=1, cache=None, point_timeout=12.5)
+        try:
+            job = manager.submit_exploration_request(SMALL)
+            list(job.iter_records())
+            assert job.status == "done"
+        finally:
+            manager.close()
+        assert deadlines and set(deadlines) == {12.5}
+
     def test_snapshot_carries_the_kind(self, manager):
         job = manager.submit_exploration_request(SMALL)
         snapshot = job.snapshot()

@@ -219,11 +219,17 @@ class TestResume:
         journal.record("submitted", "job-bad", job_kind="sweep",
                        body={"kernels": ["warp_drive"]})
         journal.record("submitted", "job-bodyless")
+        # A spec naming a flow option that is now a constant.
+        journal.record("submitted", "job-old-spec", job_kind="sweep",
+                       body={"specs": [{
+                           "kernel": "fir", "config": "HOM64",
+                           "variant": "basic", "seed": 7,
+                           "options": {"cycle_window": 8}}]})
         manager = JobManager(workers=1, cache=None, journal=journal)
         try:
             stats = manager.resume_from_journal()
             assert stats["requeued"] == 0
-            assert stats["unrestorable"] == 2
+            assert stats["unrestorable"] == 3
         finally:
             manager.close()
 
