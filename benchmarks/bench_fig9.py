@@ -54,7 +54,7 @@ def fig9_bench_document(data, config_name="HET1", kernels=None):
                 "samples": [round(seconds, 6)],
                 "counts": {"mapped": True},
             })
-    return bench_payload(cases, warmup=0, repeat=1, reducer="min")
+    return bench_payload(cases, warmup=0, repeat=1)
 
 
 def test_fig9_compile_time(benchmark, record_result, results_dir):

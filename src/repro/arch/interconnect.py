@@ -59,9 +59,6 @@ class TorusInterconnect:
         """Tiles whose input muxes see ``index``'s output port."""
         return self._neighbors[index]
 
-    def are_neighbors(self, a, b):
-        return b in self._neighbors[a]
-
     def _compute_distance(self, a, b):
         ra, ca = self.coords(a)
         rb, cb = self.coords(b)

@@ -36,8 +36,8 @@ Commands mirror the user journeys of the examples:
   exploration document;
 - ``bench``         — time ``map_kernel`` across benchmark cases with
   warmup/repeat control and emit/compare the ``BENCH_*.json`` perf
-  document (``--compare BASELINE.json --max-regress PCT`` exits
-  non-zero on regression; see :mod:`repro.perf`);
+  document (``--compare BASELINE.json`` exits 3 when a case is more
+  than 25% slower; see :mod:`repro.perf`);
 - ``trace``         — run a sweep with pipeline tracing on and write
   the spans as Chrome trace-event JSON (load in Perfetto or
   ``chrome://tracing``); ``--analyze`` adds the critical path /
@@ -60,9 +60,9 @@ Commands mirror the user journeys of the examples:
   HTML (ledger trends, critical path, metrics snapshot; also served
   at ``GET /dashboard``);
 - ``serve``         — expose sweeps and explorations over HTTP
-  (``--port``, ``--workers``, job retention via
-  ``--max-finished-jobs``/``--job-ttl``): submission, status, NDJSON
-  point streaming, cache stats (see :mod:`repro.serve`);
+  (``--port``, ``--workers``): submission, status, NDJSON point
+  streaming, cache stats; job scheduling and retention bounds are
+  constants of :mod:`repro.serve.jobs` (see :mod:`repro.serve`);
 - ``serve --resume``  replays the durable job journal on startup,
   requeueing jobs a killed server left queued or running under
   their original IDs (see :mod:`repro.serve.journal`);
@@ -80,7 +80,8 @@ to stderr, so stdout stays clean for tables and JSON; ``--quiet`` (or
 ``REPRO_QUIET=1``) silences those lines.
 
 Plumbing the commands share is written once: one table in
-``_parser`` declares every shared flag; ``_sweep_specs`` resolves the
+``_parser`` declares every shared flag (``--workers`` below 1 is a
+usage error on every command); ``_sweep_specs`` resolves the
 sweep axes; ``_run_shard`` runs every ``--shard I/N`` on the server's
 :class:`~repro.runtime.shard.SweepRequest`; ``_traced`` writes the
 spans of ``--trace-out`` and ``repro trace``; ``_print_sweep`` and
@@ -107,6 +108,15 @@ from repro.sim.cgra import CGRASimulator
 from repro.sim.cpu import CPUModel
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {value}")
+    return value
+
+
 def _parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -131,7 +141,7 @@ def _parser():
         "--backend": dict(default=None,
                           help="execution backend: analytic (default) "
                                "or cycle — see repro.runtime.backends"),
-        "--workers": dict(type=int, default=1,
+        "--workers": dict(type=positive_int, default=1,
                           help="worker processes (1 = serial)"),
         "--shard": dict(default=None, metavar="I/N",
                         help="run only shard I of N (deterministic, "
@@ -311,38 +321,28 @@ def _parser():
                        help="unrecorded runs per case (default 1)")
     bench.add_argument("--repeat", type=int, default=3,
                        help="recorded runs per case (default 3)")
-    bench.add_argument("--reducer", default="min",
-                       choices=("min", "median", "mean"),
-                       help="statistic over the repeats (default min "
-                            "— mapping is deterministic, noise only "
-                            "adds)")
     bench.add_argument("--out", default=None, metavar="FILE",
                        help="also write the JSON document to FILE")
     bench.add_argument("--json", action="store_true",
                        help="emit the benchmark document on stdout")
     bench.add_argument("--compare", default=None, metavar="BASELINE",
                        help="compare against a BENCH_*.json baseline; "
-                            "exit 3 on regression")
-    bench.add_argument("--max-regress", type=float, default=None,
-                       metavar="PCT",
-                       help="allowed per-case slowdown vs the "
-                            "--compare / --compare-ledger baseline "
-                            "(default 25%%; rejected without either)")
+                            "exit 3 if a case is over 25%% slower")
     bench.add_argument("--compare-ledger", action="store_true",
                        help="gate against the rolling median of the "
-                            "last --window same-host bench runs in "
-                            "the run ledger; exit 3 on regression")
-    bench.add_argument("--window", type=int, default=5, metavar="N",
-                       help="ledger entries in the rolling median "
-                            "(default 5, at least 1)")
+                            "last 5 same-host bench runs in the run "
+                            "ledger; exit 3 if a case is over 25%% "
+                            "slower")
     bench.add_argument("--flame-out", default=None, metavar="FILE",
                        help="sample the bench thread and write "
                             "collapsed flame stacks to FILE (no "
                             "gate; not recorded in the ledger)")
 
+    # No abbreviations here: the retired ``--flame`` would otherwise
+    # still parse, as a prefix of ``--flame-out``.
     profile = sub.add_parser(
         "profile", help="sample repeated map_kernel runs of one case "
-                        "(see repro.obs.flame)")
+                        "(see repro.obs.flame)", allow_abbrev=False)
     profile.add_argument("--kernel", required=True,
                         choices=PAPER_KERNEL_ORDER)
     profile.add_argument("--config", default="HOM32",
@@ -351,16 +351,12 @@ def _parser():
                         choices=sorted(VARIANTS))
     profile.add_argument("--top", type=int, default=20,
                         help="functions to print (default 20)")
-    # Accepted and ignored (profile always samples): existing
-    # scripts pass it.
-    profile.add_argument("--flame", action="store_true",
-                        help=argparse.SUPPRESS)
     profile.add_argument("--hz", type=float, default=None,
                         help="sampling rate (default 97)")
     profile.add_argument("--repeat", type=int, default=5,
-                        help="mappings sampled under one profile "
-                             "(default 5 — one mapping is too fast "
-                             "to sample)")
+                        help="mappings sampled under one profile, at "
+                             "least 1 (default 5 — one mapping is too "
+                             "fast to sample)")
     profile.add_argument("--flame-out", default=None, metavar="FILE",
                         help="write collapsed flame stacks to FILE "
                              "(flamegraph.pl / speedscope input)")
@@ -424,30 +420,13 @@ def _parser():
 
     serve = add(sub.add_parser(
         "serve", help="expose sweeps over HTTP (see repro.serve)"),
-        *cache_flags, "--quiet")
+        "--workers", *cache_flags, "--quiet",
+        workers=dict(help="worker processes shared by the running "
+                          "jobs (default 1)"))
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 = ephemeral; default 8000)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="worker processes per sweep job")
-    serve.add_argument("--max-finished-jobs", type=int, default=None,
-                       help="finished jobs retained before eviction "
-                            "(default 64)")
-    serve.add_argument("--job-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="age after which finished jobs evict "
-                            "(default 21600 = 6h)")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="jobs run concurrently, sharing the "
-                            "--workers pool (default 4)")
-    serve.add_argument("--max-queued", type=int, default=None,
-                       metavar="N",
-                       help="queued jobs beyond which POSTs answer "
-                            "429 + Retry-After (default 128)")
-    serve.add_argument("--max-specs", type=int, default=None,
-                       metavar="N",
-                       help="specs accepted per job (default 50000)")
     serve.add_argument("--token", default=None,
                        help="bearer token clients must present "
                             "(default $REPRO_SERVE_TOKEN; required "
@@ -487,19 +466,9 @@ def _parser():
     submit.add_argument("--timeout", type=float, default=600.0,
                         help="per-request timeout in seconds for "
                              "submit/status calls")
-    submit.add_argument("--idle-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="max silence on the point stream; the "
-                             "server's 5s keepalives reset it "
-                             "(default 60)")
     submit.add_argument("--priority", type=int, default=None,
                         help="job priority, -100..100; higher runs "
                              "first (default 0)")
-    submit.add_argument("--retries", type=int, default=None,
-                        metavar="N",
-                        help="attempts per shard with "
-                             "--shard-across before the dispatch "
-                             "fails (default 3)")
     submit.add_argument("--token", default=None,
                         help="bearer token for the server(s) "
                              "(default $REPRO_SERVE_TOKEN)")
@@ -1041,22 +1010,11 @@ def _bench(args):
         load_bench_file, parse_case, render_bench, render_comparison,
         run_bench)
 
-    if args.max_regress is not None and not (args.compare
-                                             or args.compare_ledger):
-        # Silently ignoring the threshold would let a user believe
-        # the regression gate ran when nothing was compared.
-        raise ReproError("--max-regress only applies with --compare "
-                         "or --compare-ledger")
     if args.flame_out and (args.compare or args.compare_ledger):
         # The sampler slows the run it profiles: a gate would report
         # its overhead as a regression.
         raise ReproError("--flame-out cannot be gated: drop --compare "
                          "/ --compare-ledger or the profile")
-    if args.window < 1:
-        raise ReproError(f"--window must be at least 1, "
-                         f"got {args.window}")
-    max_regress = args.max_regress if args.max_regress is not None \
-        else 25.0
     if args.cases:
         cases = [parse_case(text.strip())
                  for text in args.cases.split(",") if text.strip()]
@@ -1069,17 +1027,16 @@ def _bench(args):
     with (_sampling(args.flame_out) if args.flame_out
           else contextlib.nullcontext()):
         results = run_bench(cases, warmup=args.warmup,
-                            repeat=args.repeat, reducer=args.reducer,
+                            repeat=args.repeat,
                             progress=_progress(args, describe=str))
     payload = bench_payload(results, args.warmup, args.repeat,
-                            args.reducer,
                             created_unix=int(_time.time()))
     _emit(args, payload, render_bench)
     # Each gate is (heading, rows, regressions).
     gates = []
     if args.compare:
         gates.append(("", *compare_benchmarks(
-            payload, load_bench_file(args.compare), max_regress)))
+            payload, load_bench_file(args.compare))))
     if args.compare_ledger:
         import platform as _platform
 
@@ -1091,16 +1048,14 @@ def _bench(args):
             ledger.ledger_path(getattr(args, "cache_dir", None)),
             host=_platform.node())
         rows, regressions, used = ledger.compare_to_ledger(
-            payload, entries, window=args.window,
-            max_regress_pct=max_regress)
+            payload, entries)
         gates.append((f"ledger gate: rolling median of the last "
                       f"{used} same-host bench run(s)\n", rows,
                       regressions))
     for heading, rows, regressions in gates:
         # The comparison is narration under --json (stdout holds the
         # document); regressions still gate the exit code.
-        print(heading + render_comparison(rows, regressions,
-                                          max_regress),
+        print(heading + render_comparison(rows, regressions),
               file=sys.stderr if args.json else sys.stdout)
     from repro.perf.ledger import bench_summary
     _record_ledger(args, "bench", bench_summary(payload))
@@ -1216,15 +1171,17 @@ def _profile(args):
     from repro.obs.flame import render_flame
     from repro.perf import BenchCase, run_bench
 
+    if args.repeat < 1:
+        raise ReproError(f"--repeat must be at least 1, "
+                         f"got {args.repeat}")
     case = BenchCase(args.kernel, args.config, args.variant)
     # One mapping is milliseconds — too fast for a wall-clock
     # sampler to see much — so the case is mapped repeatedly under
     # one profile.
-    repeat = max(1, args.repeat)
     with _sampling(args.flame_out, hz=args.hz) as profiler:
-        run_bench([case], warmup=0, repeat=repeat)
+        run_bench([case], warmup=0, repeat=args.repeat)
     print(f"flame: {case.name} ({profiler.samples} wakeup(s) @ "
-          f"{profiler.hz:g} Hz x {repeat} mapping(s))")
+          f"{profiler.hz:g} Hz x {args.repeat} mapping(s))")
     print(render_flame(profiler.counts, top=args.top))
     return 0
 
@@ -1239,8 +1196,7 @@ def _kernels(_args):
 
 
 def _serve(args):
-    from repro.serve.journal import (
-        JobJournal, journal_path, journalling_enabled)
+    from repro.serve.journal import JobJournal, journal_path
     from repro.serve.server import make_server
 
     cache = _cache_from(args)
@@ -1249,23 +1205,17 @@ def _serve(args):
     # (the cache may itself be disabled; the journal still needs a
     # home, so it falls back to the default directory).
     journal = None
-    if not args.no_journal and journalling_enabled():
+    if not args.no_journal:
         journal = JobJournal(journal_path(
             cache.directory if cache is not None
             else getattr(args, "cache_dir", None)))
     if args.resume and journal is None:
         raise ReproError(
-            "--resume needs the job journal; drop --no-journal "
-            "and REPRO_JOB_JOURNAL=0")
+            "--resume needs the job journal; drop --no-journal")
     try:
         server = make_server(host=args.host, port=args.port,
                              workers=args.workers, cache=cache,
                              quiet=_quiet_requested(args),
-                             max_finished_jobs=args.max_finished_jobs,
-                             finished_ttl_seconds=args.job_ttl,
-                             max_concurrent_jobs=args.jobs,
-                             max_queued_jobs=args.max_queued,
-                             max_specs_per_job=args.max_specs,
                              token=token, journal=journal,
                              point_timeout=args.point_timeout,
                              resume=args.resume)
@@ -1334,16 +1284,12 @@ def _submit(args):
     request = _submit_request(args)
     token = args.token or os.environ.get("REPRO_SERVE_TOKEN") or None
     client_kwargs = {"timeout": args.timeout, "token": token}
-    if args.idle_timeout is not None:
-        client_kwargs["idle_timeout"] = args.idle_timeout
 
     if args.shard_across:
         if args.shard:
             raise ReproError(
                 "--shard picks one slice by hand; --shard-across "
                 "shards over the servers — use one or the other")
-        if args.retries is not None:
-            client_kwargs["max_attempts"] = args.retries
         result, _ = run_distributed(
             servers, request,
             progress=_progress(args, lambda record, done, total, url:

@@ -113,12 +113,6 @@ class AdaptiveStrategy:
     name = "adaptive"
 
     @staticmethod
-    def probe_kernel(kernels):
-        """Cheapest kernel: fewest static ops, name as tie-break."""
-        return min(kernels,
-                   key=lambda name: (kernel_demand(name)[0], name))
-
-    @staticmethod
     def schedule(kernels):
         """Kernels cheapest-first (static op count, name tie-break)."""
         return sorted(kernels,

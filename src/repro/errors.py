@@ -44,10 +44,6 @@ class UnmappableError(MappingError):
         self.block = block
 
 
-class RoutingError(MappingError):
-    """No legal MOV chain between a producer and a consumer placement."""
-
-
 class SchedulingError(MappingError):
     """List scheduling could not order the data-flow graph."""
 

@@ -49,10 +49,6 @@ class DataNode:
     def is_symbol(self):
         return self.kind == "symbol"
 
-    @property
-    def is_op_result(self):
-        return self.kind == "op"
-
     def __repr__(self):
         if self.is_const:
             return f"DataNode({self.name}=const {self.value})"

@@ -173,11 +173,6 @@ def new_span_id():
     return uuid.uuid4().hex[:16]
 
 
-def current_context():
-    """The active :class:`SpanContext`, or None."""
-    return _current.get()
-
-
 def format_traceparent(context):
     """``00-{trace_id}-{span_id}-01`` for a :class:`SpanContext`."""
     return (f"{_TRACEPARENT_VERSION}-{context.trace_id}-"

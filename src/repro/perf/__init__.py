@@ -3,13 +3,16 @@
 The subsystem has three parts:
 
 - :mod:`repro.perf.harness` — times ``map_kernel`` over a case grid
-  with warmup/repeat control (``repro bench``);
+  with warmup/repeat control (``repro bench``), keeping each case's
+  fastest repeat (``harness.REDUCER``);
 - :mod:`repro.perf.schema` — the ``BENCH_*.json`` document all
-  benchmark producers share, plus baseline comparison with a
-  regression threshold (``repro bench --compare``);
+  benchmark producers share, plus baseline comparison that flags a
+  case more than ``schema.MAX_REGRESS_PCT`` (25%) slower
+  (``repro bench --compare``);
 - :mod:`repro.perf.ledger` — the append-only run ledger every
-  unsampled bench/sweep/diff run records to (``repro history``,
-  ``repro bench --compare-ledger``).
+  unsampled bench/sweep/diff run records to (``repro history``, and
+  ``repro bench --compare-ledger``, which gates on the median of the
+  last ``ledger.WINDOW`` (5) same-host bench runs).
 """
 
 from repro.perf import ledger

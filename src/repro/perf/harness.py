@@ -2,19 +2,14 @@
 
 Times the mapper (nothing else: no assembling, no simulation) across
 kernel x config x flow-variant cases with warmup and repeat control,
-reducing repeats with a noise-robust statistic.  The default case set
-is the headline measurement this repo tracks PR over PR: the full
-kernel suite under the ``full`` context-aware flow on HOM32.
-
-Mapping is deterministic, so repeats differ only by machine noise —
-the ``min`` reducer (default) is the best estimator of the true cost;
-``median`` and ``mean`` are available for reporting tastes.
+reducing repeats with :data:`REDUCER`.  The default case set is the
+headline measurement this repo tracks PR over PR: the full kernel
+suite under the ``full`` context-aware flow on HOM32.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import statistics
 import time
 
 from repro.arch.configs import CGRA_CONFIGS, get_config
@@ -22,12 +17,11 @@ from repro.errors import ReproError, UnmappableError
 from repro.kernels import PAPER_KERNEL_ORDER, get_kernel
 from repro.mapping.flow import VARIANTS, map_kernel
 
-#: Reducers collapsing the repeat samples into the recorded seconds.
-REDUCERS = {
-    "min": min,
-    "median": statistics.median,
-    "mean": statistics.fmean,
-}
+#: Statistic collapsing a case's repeat samples into its recorded
+#: seconds; the bench document names it (``"reducer": "min"``).
+#: Mapping is deterministic, so repeats differ only by machine noise,
+#: and noise only adds: the minimum is the best estimate of the cost.
+REDUCER = min
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,7 +114,7 @@ def _case_counts(result):
     }
 
 
-def run_bench(cases, warmup=1, repeat=3, reducer="min", progress=None):
+def run_bench(cases, warmup=1, repeat=3, progress=None):
     """Time every case; returns the list the schema wraps.
 
     ``progress`` (optional callable) receives one line per finished
@@ -128,15 +122,10 @@ def run_bench(cases, warmup=1, repeat=3, reducer="min", progress=None):
     """
     if warmup < 0 or repeat < 1:
         raise ReproError("bench needs warmup >= 0 and repeat >= 1")
-    try:
-        reduce = REDUCERS[reducer]
-    except KeyError:
-        raise ReproError(f"unknown reducer {reducer!r}; choose from "
-                         f"{sorted(REDUCERS)}") from None
     results = []
     for index, case in enumerate(cases):
         samples, result = _time_case(case, warmup, repeat)
-        seconds = reduce(samples)
+        seconds = REDUCER(samples)
         entry = {
             "case": case.name,
             "kernel": case.kernel,

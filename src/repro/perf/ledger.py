@@ -20,8 +20,8 @@ Design points:
 - **never fatal** — :func:`record` swallows OSError and honours
   ``REPRO_LEDGER=0``; telemetry must not fail the run it observes;
 - **rolling-median gating** — ``repro bench --compare-ledger``
-  synthesizes a baseline document from the median of the last N
-  same-host bench entries and reuses the existing
+  synthesizes a baseline document from the median of the last
+  :data:`WINDOW` same-host bench entries and reuses the existing
   :func:`~repro.perf.schema.compare_benchmarks`, so one noisy run
   neither gates wrongly nor poisons the baseline.
 """
@@ -50,8 +50,8 @@ ENV_LEDGER = "REPRO_LEDGER"
 #: File name of the ledger inside the cache directory.
 LEDGER_FILENAME = "ledger.jsonl"
 
-#: Default window (entries) for rolling-median comparisons.
-DEFAULT_WINDOW = 5
+#: Bench entries in the rolling median ``--compare-ledger`` gates on.
+WINDOW = 5
 
 
 def ledger_path(cache_dir=None):
@@ -155,17 +155,16 @@ def diff_summary(diff_result):
     }
 
 
-def compare_to_ledger(payload, entries, window=DEFAULT_WINDOW,
-                      max_regress_pct=25.0):
+def compare_to_ledger(payload, entries):
     """Gate a bench document against the rolling ledger median.
 
     Synthesizes a baseline from the per-case median of the last
-    ``window`` bench entries and defers to
+    :data:`WINDOW` bench entries and defers to
     :func:`~repro.perf.schema.compare_benchmarks`.  Returns
     ``(rows, regressions, entries_used)``.
     """
     bench_entries = [entry for entry in entries
-                     if entry.get("command") == "bench"][-window:]
+                     if entry.get("command") == "bench"][-WINDOW:]
     if not bench_entries:
         raise ReproError(
             "ledger holds no bench entries to compare against "
@@ -179,8 +178,7 @@ def compare_to_ledger(payload, entries, window=DEFAULT_WINDOW,
     baseline = {"cases": [
         {"case": name, "seconds": statistics.median(values)}
         for name, values in sorted(samples.items())]}
-    rows, regressions = compare_benchmarks(
-        payload, baseline, max_regress_pct)
+    rows, regressions = compare_benchmarks(payload, baseline)
     return rows, regressions, len(bench_entries)
 
 

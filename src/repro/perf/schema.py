@@ -9,8 +9,8 @@ comparable documents:
   PR N (committed, the baseline future PRs regress against);
 - ``repro bench --json`` emits the same document for the current
   checkout;
-- ``repro bench --compare BENCH_N.json --max-regress PCT`` exits
-  non-zero when any shared case got more than PCT percent slower.
+- ``repro bench --compare BENCH_N.json`` exits non-zero when any
+  shared case got more than :data:`MAX_REGRESS_PCT` percent slower.
 
 Wall-clock times are host-dependent: a comparison is only meaningful
 against a baseline from comparable hardware (the ``host`` block is
@@ -27,6 +27,7 @@ import time
 
 from repro import __version__
 from repro.errors import ReproError
+from repro.perf import harness
 
 #: Version of the benchmark JSON document.  Schema 2 added
 #: ``recorded_at`` (an ISO-8601 UTC timestamp) and the host's
@@ -36,6 +37,10 @@ BENCH_JSON_SCHEMA = 2
 
 #: Oldest schema :func:`parse_bench_payload` still reads.
 BENCH_JSON_SCHEMA_MIN = 1
+
+#: Per-case slowdown, in percent, beyond which a comparison reports a
+#: regression (``bench --compare`` and ``--compare-ledger`` alike).
+MAX_REGRESS_PCT = 25.0
 
 
 def host_info():
@@ -50,7 +55,7 @@ def host_info():
     }
 
 
-def bench_payload(results, warmup, repeat, reducer, created_unix=None):
+def bench_payload(results, warmup, repeat, created_unix=None):
     """Assemble the benchmark document from per-case results.
 
     ``results`` is a list of dicts as produced by
@@ -68,7 +73,7 @@ def bench_payload(results, warmup, repeat, reducer, created_unix=None):
         "host": host_info(),
         "warmup": warmup,
         "repeat": repeat,
-        "reducer": reducer,
+        "reducer": harness.REDUCER.__name__,
         "cases": list(results),
         "total_seconds": round(sum(r["seconds"] for r in results), 6),
     }
@@ -107,13 +112,13 @@ def load_bench_file(path):
     return parse_bench_payload(data)
 
 
-def compare_benchmarks(current, baseline, max_regress_pct):
+def compare_benchmarks(current, baseline):
     """Per-case slowdowns of ``current`` against ``baseline``.
 
     Returns ``(rows, regressions)``: one row per case present in both
     documents (``case``, ``baseline_seconds``, ``seconds``,
     ``delta_pct``), and the subset whose slowdown exceeds
-    ``max_regress_pct``.  Cases unique to either side are compared
+    :data:`MAX_REGRESS_PCT`.  Cases unique to either side are compared
     with nothing and skipped — a PR may legitimately add or retire
     cases.
     """
@@ -133,12 +138,12 @@ def compare_benchmarks(current, baseline, max_regress_pct):
             "delta_pct": round(delta_pct, 2),
         }
         rows.append(row)
-        if delta_pct > max_regress_pct:
+        if delta_pct > MAX_REGRESS_PCT:
             regressions.append(row)
     return rows, regressions
 
 
-def render_comparison(rows, regressions, max_regress_pct):
+def render_comparison(rows, regressions):
     """Human-readable comparison table."""
     lines = [f"{'case':34s} {'base':>9s} {'now':>9s} {'delta':>8s}"]
     for row in rows:
@@ -147,7 +152,7 @@ def render_comparison(rows, regressions, max_regress_pct):
             f"{row['case']:34s} {row['baseline_seconds']:9.3f} "
             f"{row['seconds']:9.3f} {row['delta_pct']:+7.1f}%{flag}")
     verdict = (f"{len(regressions)} case(s) regressed more than "
-               f"{max_regress_pct:g}%" if regressions
-               else f"no case regressed more than {max_regress_pct:g}%")
+               f"{MAX_REGRESS_PCT:g}%" if regressions
+               else f"no case regressed more than {MAX_REGRESS_PCT:g}%")
     lines.append(verdict)
     return "\n".join(lines)

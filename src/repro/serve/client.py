@@ -4,7 +4,7 @@
 ``urllib`` — submit a sweep, follow its NDJSON stream point by
 point, fetch the final mergeable payload.  Two timeouts, two jobs:
 ``timeout`` bounds request/response calls (submit, status), while
-streams use ``idle_timeout`` *per read* — the server's 5-second
+streams use :data:`IDLE_TIMEOUT` *per read* — the server's 5-second
 keepalives reset it, so a healthy-but-slow job (big exploration,
 cold cache) can run for hours while a wedged or dead server still
 trips the timeout within seconds.
@@ -42,15 +42,17 @@ from repro.runtime.shard import (
     missing_shard_indices,
 )
 
-#: Per-read stream timeout (seconds).  The server emits a keepalive
-#: every 5 silent seconds, so any healthy stream delivers *something*
-#: well within this window; only a wedged or dead server trips it.
-DEFAULT_IDLE_TIMEOUT = 60.0
+#: Per-read stream timeout (seconds), read as each stream opens.  The
+#: server emits a keepalive every 5 silent seconds, so any healthy
+#: stream delivers *something* well within this window; only a wedged
+#: or dead server trips it.
+IDLE_TIMEOUT = 60.0
 
-#: Retry shape for the distributed dispatch: how often one shard may
-#: be (re)submitted, and the base inter-round backoff.
-DEFAULT_MAX_ATTEMPTS = 3
-DEFAULT_BACKOFF_SECONDS = 0.5
+#: Retry shape for the distributed dispatch, read per dispatch: how
+#: often one shard may be (re)submitted, and the base inter-round
+#: backoff.
+MAX_ATTEMPTS = 3
+BACKOFF_SECONDS = 0.5
 
 #: Longest the dispatcher will sleep between retry rounds, however
 #: large the backoff or the server's Retry-After hint.
@@ -123,7 +125,7 @@ def describe_record(record, done, total, origin=""):
 class SweepClient:
     """Talk to one ``repro serve`` instance.
 
-    ``timeout`` bounds each non-streaming request; ``idle_timeout``
+    ``timeout`` bounds each non-streaming request; :data:`IDLE_TIMEOUT`
     is the per-read bound on ``/stream`` connections (urllib applies
     it to every socket operation, so each record or keepalive line
     resets the clock — a stream only times out after that long of
@@ -131,11 +133,9 @@ class SweepClient:
     server's bearer token, sent as ``Authorization: Bearer``.
     """
 
-    def __init__(self, base_url, timeout=600.0,
-                 idle_timeout=DEFAULT_IDLE_TIMEOUT, token=None):
+    def __init__(self, base_url, timeout=600.0, token=None):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.idle_timeout = idle_timeout
         self.token = token or None
 
     # ------------------------------------------------------------------
@@ -256,7 +256,7 @@ class SweepClient:
         Reads ride the *idle* timeout: urllib applies it per socket
         operation, so the server's keepalive lines reset it and a
         stream can healthily outlive it by hours — it only fires
-        after ``idle_timeout`` seconds of total silence, which no
+        after :data:`IDLE_TIMEOUT` seconds of total silence, which no
         live server produces.  A trip (or a reset) surfaces as a
         :class:`ServeClientError` naming the server, never a bare
         ``TimeoutError``/``OSError`` — callers and the distributed
@@ -264,8 +264,7 @@ class SweepClient:
         """
         path = f"/v1/sweeps/{job_id}/stream"
         try:
-            with self._open(path, timeout=self.idle_timeout) \
-                    as response:
+            with self._open(path, timeout=IDLE_TIMEOUT) as response:
                 for line in response:
                     line = line.strip()
                     if not line:
@@ -281,7 +280,7 @@ class SweepClient:
         except OSError as error:
             raise ServeClientError(
                 f"{self.base_url}{path}: stream dropped or silent "
-                f"beyond the {self.idle_timeout}s idle timeout "
+                f"beyond the {IDLE_TIMEOUT}s idle timeout "
                 f"({error})") from None
 
     def follow(self, receipt, progress=None):
@@ -333,10 +332,7 @@ def _is_fatal(error):
 
 
 def run_distributed(servers, request, progress=None, timeout=600.0,
-                    idle_timeout=None, token=None,
-                    max_attempts=DEFAULT_MAX_ATTEMPTS,
-                    backoff_seconds=DEFAULT_BACKOFF_SECONDS,
-                    on_receipts=None):
+                    token=None, on_receipts=None):
     """Shard one sweep across ``servers``; merge the results locally.
 
     Server *i* of *N* initially receives the same request plus
@@ -351,10 +347,9 @@ def run_distributed(servers, request, progress=None, timeout=600.0,
     are resubmitted to the surviving servers — a server that dropped
     a connection or failed a job is excluded from reassignment; a
     server that answered ``429`` stays eligible.  Each shard is
-    attempted at most ``max_attempts`` times, with
-    ``backoff_seconds × round`` sleep between rounds (the largest
-    ``Retry-After`` hint wins when bigger; ``backoff_seconds=0``
-    disables sleeping entirely).  The dispatch fails only when a
+    attempted at most :data:`MAX_ATTEMPTS` times, with a jittered
+    :data:`BACKOFF_SECONDS` × round sleep between rounds (see
+    :func:`backoff_delay`).  The dispatch fails only when a
     shard exhausts its attempts, no server survives, or the failure
     is the request's own fault (4xx) — and the raised
     :class:`ServeClientError` then aggregates *every* per-server
@@ -375,27 +370,20 @@ def run_distributed(servers, request, progress=None, timeout=600.0,
         raise ServeClientError(
             "'shard' is chosen by the dispatcher; submit the "
             "unsharded request")
-    if max_attempts < 1:
-        raise ServeClientError("max_attempts must be >= 1")
     with trace.span("run_distributed", shards=len(servers)):
         return _run_distributed(
             servers, request, progress=progress, timeout=timeout,
-            idle_timeout=idle_timeout, token=token,
-            max_attempts=max_attempts,
-            backoff_seconds=backoff_seconds, on_receipts=on_receipts)
+            token=token, on_receipts=on_receipts)
 
 
-def _run_distributed(servers, request, progress, timeout,
-                     idle_timeout, token, max_attempts,
-                     backoff_seconds, on_receipts):
+def _run_distributed(servers, request, progress, timeout, token,
+                     on_receipts):
     total_shards = len(servers)
     # Threads do not inherit the contextvar — capture the dispatch
     # span's identity here so each shard thread can adopt it.
     dispatch_carrier = trace.current_carrier()
-    kwargs = {"timeout": timeout, "token": token}
-    if idle_timeout is not None:
-        kwargs["idle_timeout"] = idle_timeout
-    clients = [SweepClient(url, **kwargs) for url in servers]
+    clients = [SweepClient(url, timeout=timeout, token=token)
+               for url in servers]
 
     payloads = [None] * total_shards
     producers = [None] * total_shards  # url that produced payloads[i]
@@ -501,7 +489,7 @@ def _run_distributed(servers, request, progress, timeout,
         survivors = [index for index in range(total_shards)
                      if index not in dead]
         exhausted = [shard for shard in pending
-                     if attempts[shard] >= max_attempts]
+                     if attempts[shard] >= MAX_ATTEMPTS]
         if fatal is not None or not survivors or exhausted:
             fail_dispatch(pending)
         # Rebalance: the missing shards go round-robin over the
@@ -512,7 +500,7 @@ def _run_distributed(servers, request, progress, timeout,
             choices = [index for index in survivors
                        if index != previous] or survivors
             assignment[shard] = choices[offset % len(choices)]
-        delay = backoff_delay(round_number, backoff_seconds,
+        delay = backoff_delay(round_number, BACKOFF_SECONDS,
                               retry_hint)
         if delay > 0:
             time.sleep(delay)

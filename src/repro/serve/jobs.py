@@ -11,7 +11,7 @@ at any moment first drains everything already landed, then blocks on
 a condition variable until the next point (or the end of the job).
 
 The :class:`JobManager` schedules jobs *concurrently*: up to
-``max_concurrent_jobs`` runner threads pull from one priority queue
+:data:`MAX_CONCURRENT_JOBS` runner threads pull from one priority queue
 (higher ``priority`` first, FIFO within a priority), and each job
 draws a worker-process budget from one shared :class:`WorkerPool` —
 so a giant exploration can saturate the pool while a one-point probe
@@ -25,11 +25,11 @@ exactly a ``sweep/figure --json`` payload, so anything the service
 computes can be merged offline with ``repro merge`` — the service is
 a transport, not a new format.
 
-Admission is bounded: when ``max_queued_jobs`` jobs are already
+Admission is bounded: when :data:`MAX_QUEUED_JOBS` jobs are already
 waiting, :meth:`JobManager.submit` raises :class:`BusyError` — the
 HTTP layer answers ``429`` with a ``Retry-After`` hint — instead of
-queueing unboundedly, and ``max_specs_per_job`` caps how much work a
-single request may claim.  Backpressure over buffering: a client
+queueing unboundedly, and :data:`MAX_SPECS_PER_JOB` caps how much
+work a single request may claim.  Backpressure over buffering: a client
 told "busy" can retry a survivor; a request buried in an unbounded
 queue just times out minutes later with no information.
 
@@ -44,12 +44,15 @@ and its final payload is the exploration document
 mergeable sweep payload.
 
 The manager is bounded for long-lived servers: finished jobs beyond
-``max_finished_jobs``, or older than ``finished_ttl_seconds``, are
-evicted (oldest-finished first) on every submission and listing;
+:data:`MAX_FINISHED_JOBS`, or older than :data:`FINISHED_TTL_SECONDS`,
+are evicted (oldest-finished first) on every submission and listing;
 the listing endpoints report how many were dropped.  Eviction is
 restricted to *terminal* jobs — a queued or running job is never
 dropped, however hard the retention pressure, because evicting it
 would orphan a job the scheduler still intends to run.
+
+These bounds are module constants, not settings: no deployment has
+needed other values, and a test that does patches the constant.
 """
 
 from __future__ import annotations
@@ -84,21 +87,22 @@ QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 #: States a job can never leave.
 TERMINAL = (DONE, FAILED)
 
-#: Default retention of finished jobs (count and age).  Bounded by
-#: default: an unbounded job table on a long-lived server is a slow
-#: memory leak, one payload per sweep ever submitted.
-DEFAULT_MAX_FINISHED_JOBS = 64
-DEFAULT_FINISHED_TTL_SECONDS = 6 * 3600.0
+#: Retention of finished jobs (count and age): an unbounded job table
+#: on a long-lived server is a slow memory leak, one payload per sweep
+#: ever submitted.  Read at each eviction scan.
+MAX_FINISHED_JOBS = 64
+FINISHED_TTL_SECONDS = 6 * 3600.0
 
-#: Default scheduler shape: how many jobs may run at once, and how
-#: many may wait before submissions bounce with ``429``.
-DEFAULT_MAX_CONCURRENT_JOBS = 4
-DEFAULT_MAX_QUEUED_JOBS = 128
+#: Scheduler shape: how many jobs run at once (runner threads, read
+#: when a manager starts), and how many may wait before submissions
+#: bounce with ``429`` (read at each submission).
+MAX_CONCURRENT_JOBS = 4
+MAX_QUEUED_JOBS = 128
 
 #: Largest spec list one job may claim (the full paper sweep is 140
 #: points; the biggest exploration grids are a few thousand).  A
 #: request beyond this is a mistake or abuse, not a sweep.
-DEFAULT_MAX_SPECS_PER_JOB = 50_000
+MAX_SPECS_PER_JOB = 50_000
 
 #: ``Retry-After`` hint handed to clients bounced by backpressure.
 DEFAULT_RETRY_AFTER_SECONDS = 5
@@ -551,22 +555,17 @@ class WorkerPool:
 class JobManager:
     """Concurrent executor of sweep jobs over one shared runtime cache.
 
-    ``max_concurrent_jobs`` daemon runner threads drain one priority
-    queue (higher ``priority`` first, submission order within a
-    priority — "queued" in a status response is literal), each job
+    :data:`MAX_CONCURRENT_JOBS` daemon runner threads drain one
+    priority queue (higher ``priority`` first, submission order within
+    a priority — "queued" in a status response is literal), each job
     drawing its worker budget from the shared :class:`WorkerPool` of
-    ``workers`` processes.  ``max_queued_jobs`` bounds the queue:
+    ``workers`` processes.  :data:`MAX_QUEUED_JOBS` bounds the queue:
     beyond it, :meth:`submit` raises :class:`BusyError` so the HTTP
     layer can answer ``429`` instead of buffering unboundedly.
     """
 
-    def __init__(self, workers=1, cache=None,
-                 max_finished_jobs=DEFAULT_MAX_FINISHED_JOBS,
-                 finished_ttl_seconds=DEFAULT_FINISHED_TTL_SECONDS,
-                 max_concurrent_jobs=DEFAULT_MAX_CONCURRENT_JOBS,
-                 max_queued_jobs=DEFAULT_MAX_QUEUED_JOBS,
-                 max_specs_per_job=DEFAULT_MAX_SPECS_PER_JOB,
-                 journal=None, point_timeout=None):
+    def __init__(self, workers=1, cache=None, journal=None,
+                 point_timeout=None):
         self.workers = max(1, int(workers))
         self.cache = cache
         # Durable job journal (a :class:`~repro.serve.journal.
@@ -578,13 +577,6 @@ class JobManager:
         # Per-point deadline forwarded to every job's streaming engine,
         # so one wedged point cannot hang a job forever.
         self.point_timeout = point_timeout
-        # Retention policy for terminal jobs; ``None`` disables the
-        # corresponding bound.  Queued/running jobs never evict.
-        self.max_finished_jobs = max_finished_jobs
-        self.finished_ttl_seconds = finished_ttl_seconds
-        self.max_concurrent_jobs = max(1, int(max_concurrent_jobs))
-        self.max_queued_jobs = max_queued_jobs
-        self.max_specs_per_job = max_specs_per_job
         self.evicted = 0
         self.pool = WorkerPool(self.workers)
         # The server is multithreaded (HTTP handlers + the runners),
@@ -617,7 +609,7 @@ class JobManager:
             threading.Thread(target=self._run,
                              name=f"repro-serve-jobs-{index}",
                              daemon=True)
-            for index in range(self.max_concurrent_jobs)]
+            for index in range(MAX_CONCURRENT_JOBS)]
         for thread in self._threads:
             thread.start()
 
@@ -648,11 +640,10 @@ class JobManager:
         replayed after a crash (programmatic submissions have no
         body; every HTTP submission does).
         """
-        if self.max_specs_per_job is not None \
-                and len(request.specs) > self.max_specs_per_job:
+        if len(request.specs) > MAX_SPECS_PER_JOB:
             raise RequestError(
                 f"job of {len(request.specs)} specs exceeds this "
-                f"server's {self.max_specs_per_job}-spec limit; "
+                f"server's {MAX_SPECS_PER_JOB}-spec limit; "
                 f"shard the request")
         if job_id is None:
             job_id = f"job-{next(self._ids)}-{uuid.uuid4().hex[:8]}"
@@ -666,15 +657,14 @@ class JobManager:
                     f"may only be replayed once")
             # "Queued" means waiting: a submission an idle runner
             # will pick up immediately never counts against the
-            # bound (otherwise ``max_queued_jobs=0`` could not
-            # accept any work at all).
-            if self.max_queued_jobs is not None \
-                    and self._idle_runners == 0 \
-                    and len(self._heap) >= self.max_queued_jobs:
+            # bound (otherwise a bound of 0 could not accept any
+            # work at all).
+            if self._idle_runners == 0 \
+                    and len(self._heap) >= MAX_QUEUED_JOBS:
                 metrics.SCHED_REJECTIONS.inc()
                 raise BusyError(
                     f"job queue is full ({len(self._heap)} waiting, "
-                    f"bound {self.max_queued_jobs}); retry in "
+                    f"bound {MAX_QUEUED_JOBS}); retry in "
                     f"{DEFAULT_RETRY_AFTER_SECONDS}s or submit to "
                     f"another server")
             self._evict_locked()
@@ -798,19 +788,14 @@ class JobManager:
         live.update(self._running)
         terminal = [job for job in self.jobs.values()
                     if job.is_terminal and job.id not in live]
-        drop = []
-        if self.finished_ttl_seconds is not None:
-            horizon = time.time() - self.finished_ttl_seconds
-            drop = [job for job in terminal
-                    if job.finished is not None
-                    and job.finished < horizon]
-        if self.max_finished_jobs is not None:
-            kept = [job for job in terminal if job not in drop]
-            excess = len(kept) - self.max_finished_jobs
-            if excess > 0:
-                kept.sort(key=lambda job: (job.finished or 0.0,
-                                           job.id))
-                drop += kept[:excess]
+        horizon = time.time() - FINISHED_TTL_SECONDS
+        drop = [job for job in terminal
+                if job.finished is not None and job.finished < horizon]
+        kept = [job for job in terminal if job not in drop]
+        excess = len(kept) - MAX_FINISHED_JOBS
+        if excess > 0:
+            kept.sort(key=lambda job: (job.finished or 0.0, job.id))
+            drop += kept[:excess]
         for job in drop:
             del self.jobs[job.id]
         self.evicted += len(drop)

@@ -25,13 +25,12 @@ event per job, and only jobs whose last event is non-terminal are
 requeued.  A resume first compacts the file down to those jobs'
 lines, so the journal stays as small as the work a crash can lose.
 
-``REPRO_JOB_JOURNAL=0`` opts out, mirroring ``REPRO_LEDGER=0``.
+``repro serve --no-journal`` is the one way to run without it.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 import pathlib
 import threading
 import time
@@ -40,9 +39,6 @@ from repro import jsonl
 
 #: Version of a job-event line.
 JOURNAL_SCHEMA = 1
-
-#: Set to ``0``/``false``/``no`` to disable job journalling.
-ENV_JOURNAL = "REPRO_JOB_JOURNAL"
 
 #: File name of the journal inside the cache directory.
 JOURNAL_FILENAME = "jobs.jsonl"
@@ -62,12 +58,6 @@ def journal_path(cache_dir=None):
     return base / JOURNAL_FILENAME
 
 
-def journalling_enabled():
-    """False when ``REPRO_JOB_JOURNAL`` opts out."""
-    return os.environ.get(ENV_JOURNAL, "").strip().lower() \
-        not in ("0", "false", "no")
-
-
 class JobJournal:
     """Append-only recorder + replayer of job lifecycle events."""
 
@@ -85,10 +75,8 @@ class JobJournal:
 
         Never raises: the journal observes the job table, it must
         not be able to fail a submission or wedge a runner.  Returns
-        None when journalling is disabled or the write failed.
+        None when the write failed.
         """
-        if not journalling_enabled():
-            return None
         now = time.time()
         entry = {
             "kind": "job-event",

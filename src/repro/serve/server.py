@@ -59,6 +59,7 @@ from urllib.parse import urlsplit
 import repro
 from repro.errors import ReproError
 from repro.obs import get_logger, metrics, trace
+from repro.serve import jobs
 from repro.serve.jobs import (
     BusyError,
     JobManager,
@@ -68,8 +69,9 @@ from repro.serve.jobs import (
 
 _log = get_logger("repro.serve")
 
-#: Largest accepted request body; a spec list is small, so anything
-#: bigger is a mistake (or not a sweep submission at all).
+#: Largest accepted request body, read per request; a spec list is
+#: small, so anything bigger is a mistake (or not a sweep submission
+#: at all).
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Hosts a tokenless server may bind.  Anything else is reachable by
@@ -91,12 +93,10 @@ class SweepServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address, manager, quiet=False, token=None,
-                 max_body_bytes=MAX_BODY_BYTES):
+    def __init__(self, address, manager, quiet=False, token=None):
         self.manager = manager
         self.quiet = quiet
         self.token = token or None
-        self.max_body_bytes = max_body_bytes
         self.started = time.time()
         self.requests_total = 0
         self._requests_lock = threading.Lock()
@@ -117,20 +117,14 @@ class SweepServer(ThreadingHTTPServer):
 
 
 def make_server(host="127.0.0.1", port=0, workers=1, cache=None,
-                quiet=False, max_finished_jobs=None,
-                finished_ttl_seconds=None, max_concurrent_jobs=None,
-                max_queued_jobs=None, max_specs_per_job=None,
-                token=None, max_body_bytes=None, journal=None,
+                quiet=False, token=None, journal=None,
                 point_timeout=None, resume=False):
     """Build a ready-to-serve :class:`SweepServer`.
 
     ``port=0`` binds an ephemeral port (read it back from
     ``server.server_address``) — what the tests and any
-    port-allocating supervisor use.  The retention
-    (``max_finished_jobs`` / ``finished_ttl_seconds``), scheduling
-    (``max_concurrent_jobs`` / ``max_queued_jobs``) and request-limit
-    (``max_specs_per_job``) knobs override the manager's bounded
-    defaults when not ``None``.
+    port-allocating supervisor use.  Job retention, scheduling and
+    request limits are the constants of :mod:`repro.serve.jobs`.
 
     ``journal`` is a :class:`~repro.serve.journal.JobJournal` (or
     None: no durability) the manager records job transitions to;
@@ -149,25 +143,13 @@ def make_server(host="127.0.0.1", port=0, workers=1, cache=None,
             f"refusing to bind {host!r} without authentication: "
             f"pass a token (repro serve --token / "
             f"$REPRO_SERVE_TOKEN) to serve beyond loopback")
-    overrides = {}
-    for key, value in (
-            ("max_finished_jobs", max_finished_jobs),
-            ("finished_ttl_seconds", finished_ttl_seconds),
-            ("max_concurrent_jobs", max_concurrent_jobs),
-            ("max_queued_jobs", max_queued_jobs),
-            ("max_specs_per_job", max_specs_per_job)):
-        if value is not None:
-            overrides[key] = value
     manager = JobManager(workers=workers, cache=cache,
-                         journal=journal,
-                         point_timeout=point_timeout, **overrides)
+                         journal=journal, point_timeout=point_timeout)
     try:
         if resume:
             manager.resume_from_journal()
-        return SweepServer(
-            (host, port), manager, quiet=quiet, token=token,
-            max_body_bytes=(max_body_bytes if max_body_bytes
-                            is not None else MAX_BODY_BYTES))
+        return SweepServer((host, port), manager, quiet=quiet,
+                           token=token)
     except BaseException:
         # Bind failures must not leak the manager's runner threads
         # (callers probing ports in a loop would pile them up).
@@ -271,10 +253,10 @@ class SweepHandler(BaseHTTPRequestHandler):
             # read(-1) would mean "until EOF" — a handler thread
             # parked on a held-open socket, not a 400.
             raise RequestError("bad Content-Length header")
-        if length > self.server.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise RequestError(
                 f"request body of {length} bytes exceeds the "
-                f"{self.server.max_body_bytes}-byte limit")
+                f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw.strip():
             # Content-Length: 0 (a forgotten body) must not resolve
@@ -389,8 +371,8 @@ class SweepHandler(BaseHTTPRequestHandler):
             "evicted": manager.evicted,
             "auth": self.server.token is not None,
             "scheduler": {
-                "max_concurrent_jobs": manager.max_concurrent_jobs,
-                "max_queued_jobs": manager.max_queued_jobs,
+                "max_concurrent_jobs": jobs.MAX_CONCURRENT_JOBS,
+                "max_queued_jobs": jobs.MAX_QUEUED_JOBS,
                 "queued": manager.queue_depth(),
                 "workers_free": manager.pool.free,
             },

@@ -115,33 +115,31 @@ class TestCliFlame:
     def test_profile_flame_renders_table(self, capsys):
         assert main(["profile", "--kernel", "dc_filter",
                      "--config", "HOM64", "--variant", "basic",
-                     "--flame", "--hz", "600", "--repeat", "4"]) == 0
+                     "--hz", "600", "--repeat", "4"]) == 0
         out = capsys.readouterr().out
         assert "flame: dc_filter@HOM64/basic" in out
+        assert "@ 600 Hz x 4 mapping(s)" in out
         assert "sample" in out
+
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_profile_repeat_below_one_is_refused(self, capsys,
+                                                 repeat):
+        assert main(["profile", "--kernel", "dc_filter",
+                     f"--repeat={repeat}"]) == 1
+        assert "--repeat must be at least 1" in capsys.readouterr().err
 
     def test_profile_flame_out_writes_collapsed(self, tmp_path,
                                                 capsys):
         target = tmp_path / "case.flame"
         assert main(["profile", "--kernel", "dc_filter",
                      "--config", "HOM64", "--variant", "basic",
-                     "--flame", "--hz", "600", "--repeat", "4",
+                     "--hz", "600", "--repeat", "4",
                      "--flame-out", str(target)]) == 0
         capsys.readouterr()
         lines = target.read_text().splitlines()
         # Collapsed format: "frame;frame;... count".
         assert all(line.rsplit(" ", 1)[1].isdigit()
                    for line in lines if line)
-
-    def test_profile_samples_without_the_flame_flag(self, capsys):
-        # Sampling is the only mode: --flame is an ignored alias and
-        # --hz needs no companion flag.
-        assert main(["profile", "--kernel", "dc_filter",
-                     "--config", "HOM64", "--variant", "basic",
-                     "--hz", "600", "--repeat", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "flame: dc_filter@HOM64/basic" in out
-        assert "@ 600 Hz x 4 mapping(s)" in out
 
     def test_sweep_flame_out(self, tmp_path, capsys):
         target = tmp_path / "sweep.flame"
@@ -204,7 +202,7 @@ class TestCliFlame:
         baseline.write_text(json.dumps(bench_payload(
             [{"case": "dc_filter@HOM64/basic", "seconds": 1e9,
               "samples": [1e9], "counts": {"mapped": True}}],
-            warmup=0, repeat=1, reducer="min")))
+            warmup=0, repeat=1)))
         gate_args = [gate, str(baseline)] if gate == "--compare" \
             else [gate]
         target = tmp_path / "bench.flame"

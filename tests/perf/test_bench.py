@@ -54,9 +54,10 @@ class TestHarness:
         results = run_bench([BenchCase("dc_filter", "HOM32", "basic")],
                             warmup=0, repeat=2)
         payload = bench_payload(results, warmup=0, repeat=2,
-                                reducer="min", created_unix=123)
+                                created_unix=123)
         parsed = parse_bench_payload(payload)
         assert parsed["schema"] == BENCH_JSON_SCHEMA
+        assert parsed["reducer"] == "min"
         (case,) = parsed["cases"]
         assert case["case"] == "dc_filter@HOM32/basic"
         assert case["seconds"] == min(case["samples"])
@@ -72,7 +73,7 @@ class TestHarness:
         with pytest.raises(ReproError):
             run_bench([case], repeat=0)
         with pytest.raises(ReproError):
-            run_bench([case], reducer="p99")
+            run_bench([case], warmup=-1)
 
 
 def _payload_with(seconds_by_case):
@@ -81,7 +82,7 @@ def _payload_with(seconds_by_case):
               "seconds": seconds, "samples": [seconds],
               "counts": {"mapped": True}}
              for name, seconds in seconds_by_case.items()]
-    return bench_payload(cases, warmup=0, repeat=1, reducer="min")
+    return bench_payload(cases, warmup=0, repeat=1)
 
 
 class TestCompare:
@@ -90,18 +91,17 @@ class TestCompare:
                                   "b@HOM32/full": 2.0})
         current = _payload_with({"a@HOM32/full": 1.1,
                                  "b@HOM32/full": 3.0})
-        rows, regressions = compare_benchmarks(current, baseline, 25.0)
+        rows, regressions = compare_benchmarks(current, baseline)
         assert len(rows) == 2
         assert [r["case"] for r in regressions] == ["b@HOM32/full"]
         assert regressions[0]["delta_pct"] == 50.0
-        assert "REGRESSION" in render_comparison(rows, regressions,
-                                                 25.0)
+        assert "REGRESSION" in render_comparison(rows, regressions)
 
     def test_faster_and_new_cases_are_fine(self):
         baseline = _payload_with({"a@HOM32/full": 2.0})
         current = _payload_with({"a@HOM32/full": 1.0,
                                  "new@HOM32/full": 9.0})
-        _, regressions = compare_benchmarks(current, baseline, 25.0)
+        _, regressions = compare_benchmarks(current, baseline)
         assert regressions == []
 
     def test_load_bench_file_rejects_junk(self, tmp_path):

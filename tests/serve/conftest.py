@@ -51,6 +51,14 @@ def fake_compute(monkeypatch):
 
 
 @pytest.fixture
+def no_backoff(monkeypatch):
+    """Run the distributed dispatch's retry rounds without sleeping."""
+    from repro.serve import client
+
+    monkeypatch.setattr(client, "BACKOFF_SECONDS", 0)
+
+
+@pytest.fixture
 def start_server():
     """Factory: boot a serve instance, return ``(url, server)``.
 

@@ -128,9 +128,11 @@ class TestHttpDoor:
         assert [job["kind"] for job in sweeps] == ["sweep"]
 
     def test_listing_reports_evictions(self, fake_compute,
-                                       start_server):
-        url, server = start_server()
-        server.manager.max_finished_jobs = 0
+                                       start_server, monkeypatch):
+        from repro.serve import jobs
+
+        monkeypatch.setattr(jobs, "MAX_FINISHED_JOBS", 0)
+        url, _ = start_server()
         from repro.serve.client import SweepClient
         client = SweepClient(url, timeout=30.0)
         client.run_exploration({**SMALL, "budget": 2})

@@ -23,6 +23,7 @@ import pytest
 from repro.runtime.pool import run_sweep
 from repro.runtime.shard import sweep_json_payload
 from repro.runtime.sweep import sweep_specs
+from repro.serve import client as client_module
 from repro.serve.client import (
     ServeClientError,
     SweepClient,
@@ -43,7 +44,7 @@ def points(result):
 
 class TestFailover:
     def test_killed_server_rebalances_to_the_survivor(
-            self, fake_compute, start_server):
+            self, fake_compute, start_server, no_backoff):
         # Acceptance: K=2 degrades to K−1.  Server B accepts its
         # shard, then dies before the dispatcher can stream it; the
         # missing shard must be recomputed by server A and the merge
@@ -57,8 +58,7 @@ class TestFailover:
             server_b.server_close()
 
         result, payloads = run_distributed(
-            [url_a, url_b], AXES, backoff_seconds=0,
-            on_receipts=kill_b)
+            [url_a, url_b], AXES, on_receipts=kill_b)
         assert points(result) == points(run_sweep(SPECS))
         assert result.computed == len(SPECS)
         # Both shards exist and both were (re)computed by A.
@@ -66,7 +66,7 @@ class TestFailover:
                 for payload in payloads} == {0, 1}
 
     def test_progress_recovers_across_the_failover(
-            self, fake_compute, start_server):
+            self, fake_compute, start_server, no_backoff):
         url_a, _ = start_server()
         url_b, server_b = start_server()
         seen = []
@@ -76,8 +76,7 @@ class TestFailover:
             server_b.server_close()
 
         run_distributed(
-            [url_a, url_b], AXES, backoff_seconds=0,
-            on_receipts=kill_b,
+            [url_a, url_b], AXES, on_receipts=kill_b,
             progress=lambda record, done, total, url:
             seen.append(url))
         # Every narrated record names the survivor; the dead server
@@ -86,7 +85,7 @@ class TestFailover:
         assert len(seen) == len(SPECS)
 
     def test_429_retries_without_marking_the_server_dead(
-            self, fake_compute, start_server, monkeypatch):
+            self, fake_compute, start_server, no_backoff, monkeypatch):
         url, _ = start_server()
         original = SweepClient.submit
         calls = []
@@ -99,7 +98,7 @@ class TestFailover:
             return original(self, request)
 
         monkeypatch.setattr(SweepClient, "submit", flaky)
-        result, _ = run_distributed([url], AXES, backoff_seconds=0)
+        result, _ = run_distributed([url], AXES)
         # Backpressure is not death: the bounced shard went back to
         # the same (only) server and succeeded on attempt two.
         assert calls == [[0, 1], [0, 1]]
@@ -124,12 +123,13 @@ class TestIdleTimeout:
         real = pool._compute_captured
 
         def slow(spec):
-            time.sleep(1.0)  # deliberately slower than idle_timeout
+            time.sleep(1.0)  # deliberately slower than IDLE_TIMEOUT
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
+        monkeypatch.setattr(client_module, "IDLE_TIMEOUT", 0.3)
         url, _ = start_server()
-        client = SweepClient(url, timeout=10.0, idle_timeout=0.3)
+        client = SweepClient(url, timeout=10.0)
         payload = client.run(self.ONE)
         assert payload["summary"]["points"] == 1
 
@@ -151,8 +151,9 @@ class TestIdleTimeout:
             return fake_compute(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", wedged)
+        monkeypatch.setattr(client_module, "IDLE_TIMEOUT", 0.3)
         url, _ = start_server()
-        client = SweepClient(url, timeout=10.0, idle_timeout=0.3)
+        client = SweepClient(url, timeout=10.0)
         receipt = client.submit(self.ONE)
         started = time.monotonic()
         with pytest.raises(ServeClientError, match="idle timeout"):
@@ -163,10 +164,10 @@ class TestIdleTimeout:
         gate.set()
 
     def test_regular_requests_keep_the_full_timeout(
-            self, fake_compute, server_url):
-        # idle_timeout only governs streams; submit/status calls
+            self, fake_compute, server_url, monkeypatch):
+        # IDLE_TIMEOUT only governs streams; submit/status calls
         # still ride the regular timeout.
-        client = SweepClient(server_url, timeout=10.0,
-                             idle_timeout=0.2)
+        monkeypatch.setattr(client_module, "IDLE_TIMEOUT", 0.2)
+        client = SweepClient(server_url, timeout=10.0)
         payload = client.run(self.ONE)
         assert payload["summary"]["points"] == 1

@@ -14,6 +14,7 @@ from repro.runtime.shard import (
     sweep_json_payload,
 )
 from repro.runtime.sweep import PointSpec, sweep_specs
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import (
     JobManager,
     RequestError,
@@ -297,11 +298,12 @@ class TestJobLifecycle:
         # heartbeat — ticks only fire while genuinely idle.
         assert list(job.iter_records(heartbeat=0.0)) == job.records
 
-    def test_jobs_run_fifo_within_a_priority(self, fake_compute):
+    def test_jobs_run_fifo_within_a_priority(self, fake_compute,
+                                             monkeypatch):
         # One runner makes completion order observable: equal
         # priorities must preserve submission order.
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        manager = JobManager(workers=1, cache=None)
         try:
             first = manager.submit_request(self.REQUEST)
             second = manager.submit_request(self.REQUEST)
@@ -327,8 +329,8 @@ class TestJobLifecycle:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=2)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 2)
+        manager = JobManager(workers=1, cache=None)
         try:
             one_spec = {"kernels": ["fir"], "configs": ["HOM64"],
                         "variants": ["basic"]}
@@ -366,8 +368,8 @@ class TestJobLifecycle:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        manager = JobManager(workers=1, cache=None)
         blocker = manager.submit_request({"kernels": ["fir"],
                                           "configs": ["HOM64"],
                                           "variants": ["basic"]})
@@ -392,7 +394,7 @@ class TestJobLifecycle:
 class TestScheduler:
     """Priority ordering, worker-pool budgets, and backpressure."""
 
-    def _gated_manager(self, monkeypatch, order, **kwargs):
+    def _gated_manager(self, monkeypatch, order):
         """A single-runner manager whose computes wait on a gate."""
         import threading
 
@@ -409,8 +411,8 @@ class TestScheduler:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1, **kwargs)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        manager = JobManager(workers=1, cache=None)
         return manager, started, gate
 
     @staticmethod
@@ -469,8 +471,9 @@ class TestScheduler:
         from repro.serve.jobs import BusyError
 
         order = []
-        manager, started, gate = self._gated_manager(
-            monkeypatch, order, max_queued_jobs=1)
+        monkeypatch.setattr(jobs_module, "MAX_QUEUED_JOBS", 1)
+        manager, started, gate = self._gated_manager(monkeypatch,
+                                                     order)
         try:
             running = manager.submit_request(self._one("fir"))
             assert started.wait(timeout=10.0)
@@ -490,10 +493,10 @@ class TestScheduler:
             gate.set()
             manager.close()
 
-    def test_max_specs_per_job_is_a_request_error(self,
-                                                  fake_compute):
-        manager = JobManager(workers=1, cache=None,
-                             max_specs_per_job=2)
+    def test_max_specs_per_job_is_a_request_error(self, fake_compute,
+                                                  monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_SPECS_PER_JOB", 2)
+        manager = JobManager(workers=1, cache=None)
         try:
             with pytest.raises(RequestError, match="spec limit"):
                 manager.submit_request({"kernels": ["fir", "fft"],
@@ -555,13 +558,13 @@ class TestEviction:
             finished(job)
         return jobs
 
-    def test_count_bound_evicts_oldest_finished(self, fake_compute):
+    def test_count_bound_evicts_oldest_finished(self, fake_compute,
+                                                monkeypatch):
         # One runner thread: the jobs finish in submission order,
         # which is the order the assertion below takes for "oldest".
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1,
-                             max_finished_jobs=2,
-                             finished_ttl_seconds=None)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        manager = JobManager(workers=1, cache=None)
         try:
             jobs = self._run_jobs(manager, 4)
             listed = {snap["id"] for snap in manager.list_jobs()}
@@ -575,9 +578,8 @@ class TestEviction:
 
     def test_ttl_evicts_old_finished_jobs(self, fake_compute,
                                           monkeypatch):
-        manager = JobManager(workers=1, cache=None,
-                             max_finished_jobs=None,
-                             finished_ttl_seconds=60.0)
+        monkeypatch.setattr(jobs_module, "FINISHED_TTL_SECONDS", 60.0)
+        manager = JobManager(workers=1, cache=None)
         try:
             jobs = self._run_jobs(manager, 2)
             # Age the first job past the TTL by rewriting its
@@ -605,10 +607,9 @@ class TestEviction:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1,
-                             max_finished_jobs=0,
-                             finished_ttl_seconds=None)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 0)
+        manager = JobManager(workers=1, cache=None)
         try:
             running = manager.submit_request(self.REQUEST)
             assert started.wait(timeout=10.0)
@@ -644,10 +645,9 @@ class TestEviction:
         # Zero retention + a flood of submissions: every submit and
         # every listing runs the eviction scan while all jobs are
         # still queued/running — none may disappear.
-        manager = JobManager(workers=1, cache=None,
-                             max_concurrent_jobs=1,
-                             max_finished_jobs=0,
-                             finished_ttl_seconds=None)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 0)
+        manager = JobManager(workers=1, cache=None)
         try:
             jobs = [manager.submit_request(self.REQUEST)
                     for _ in range(12)]
@@ -668,16 +668,11 @@ class TestEviction:
             gate.set()
             manager.close()
 
-    def test_defaults_are_bounded(self, fake_compute):
-        from repro.serve.jobs import (
-            DEFAULT_FINISHED_TTL_SECONDS,
-            DEFAULT_MAX_FINISHED_JOBS,
-        )
-        manager = JobManager(workers=1, cache=None)
-        try:
-            assert manager.max_finished_jobs \
-                == DEFAULT_MAX_FINISHED_JOBS
-            assert manager.finished_ttl_seconds \
-                == DEFAULT_FINISHED_TTL_SECONDS
-        finally:
-            manager.close()
+    def test_bounds_keep_their_values(self):
+        # Retention, scheduling and request limits are constants, not
+        # settings; these are the values the server always ran with.
+        assert jobs_module.MAX_FINISHED_JOBS == 64
+        assert jobs_module.FINISHED_TTL_SECONDS == 6 * 3600.0
+        assert jobs_module.MAX_CONCURRENT_JOBS == 4
+        assert jobs_module.MAX_QUEUED_JOBS == 128
+        assert jobs_module.MAX_SPECS_PER_JOB == 50_000

@@ -17,12 +17,10 @@ import pytest
 from repro.errors import ReproError
 from repro.serve.jobs import JobManager
 from repro.serve.journal import (
-    ENV_JOURNAL,
     JOURNAL_FILENAME,
     TERMINAL_EVENTS,
     JobJournal,
     journal_path,
-    journalling_enabled,
 )
 
 BODY = {"kernels": ["dc_filter"], "configs": ["HOM64"],
@@ -52,11 +50,14 @@ class TestJournalFile:
         assert journal_path(tmp_path) \
             == tmp_path / JOURNAL_FILENAME
 
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.delenv(ENV_JOURNAL, raising=False)
-        assert journalling_enabled()
-        monkeypatch.setenv(ENV_JOURNAL, "0")
-        assert not journalling_enabled()
+    def test_environment_does_not_opt_out(self, monkeypatch, journal):
+        # ``serve --no-journal`` is the one switch: the retired
+        # ``REPRO_JOB_JOURNAL=0`` no longer silences the journal.
+        monkeypatch.setenv("REPRO_JOB_JOURNAL", "0")
+        assert journal.record("submitted", "job-1", job_kind="sweep",
+                              body=BODY) is not None
+        jobs, _ = journal.replay()
+        assert jobs["job-1"]["event"] == "submitted"
 
     def test_record_then_replay_reduces_to_last_event(self, journal):
         journal.record("submitted", "job-1", job_kind="sweep",

@@ -217,15 +217,16 @@ class TestDistributedTraceStitching:
 
 class TestSchedulerMetrics:
     def test_rejections_and_queue_depth(self, fake_compute,
-                                        start_server):
+                                        start_server, monkeypatch):
         import threading
 
         from repro.serve import jobs as jobs_module
         from repro.serve.jobs import JobManager
 
         gate = threading.Event()
-        manager = JobManager(workers=1, max_concurrent_jobs=1,
-                             max_queued_jobs=1)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_QUEUED_JOBS", 1)
+        manager = JobManager(workers=1)
         try:
             blocker = threading.Event()
 

@@ -15,6 +15,8 @@ from repro.runtime.cache import ResultCache
 from repro.runtime.pool import run_sweep
 from repro.runtime.shard import sweep_json_payload
 from repro.runtime.sweep import sweep_specs
+from repro.serve import client as client_module
+from repro.serve import jobs as jobs_module
 from repro.serve.client import (
     ServeClientError,
     SweepClient,
@@ -190,8 +192,9 @@ class TestAuthAndBackpressure:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        url, _ = start_server(max_concurrent_jobs=1,
-                              max_queued_jobs=0)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_QUEUED_JOBS", 0)
+        url, _ = start_server()
         client = SweepClient(url, timeout=10.0)
         one = {"kernels": ["fir"], "configs": ["HOM64"],
                "variants": ["basic"]}
@@ -227,8 +230,9 @@ class TestAuthAndBackpressure:
             return real(spec)
 
         monkeypatch.setattr(pool, "_compute_captured", slow)
-        url, _ = start_server(max_concurrent_jobs=1,
-                              max_queued_jobs=0)
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 1)
+        monkeypatch.setattr(jobs_module, "MAX_QUEUED_JOBS", 0)
+        url, _ = start_server()
         client = SweepClient(url, timeout=10.0)
         one = {"kernels": ["fir"], "configs": ["HOM64"],
                "variants": ["basic"]}
@@ -242,15 +246,33 @@ class TestAuthAndBackpressure:
         client.follow(receipt)
 
     def test_healthz_reports_scheduler_state(self, fake_compute,
-                                             start_server):
-        url, _ = start_server(max_concurrent_jobs=2,
-                              max_queued_jobs=7)
+                                             start_server,
+                                             monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_CONCURRENT_JOBS", 2)
+        monkeypatch.setattr(jobs_module, "MAX_QUEUED_JOBS", 7)
+        url, _ = start_server()
         health = SweepClient(url, timeout=10.0).health()
         scheduler = health["scheduler"]
         assert scheduler["max_concurrent_jobs"] == 2
         assert scheduler["max_queued_jobs"] == 7
         assert scheduler["queued"] == 0
         assert scheduler["workers_free"] == 1
+
+    def test_oversized_body_is_400(self, fake_compute, start_server,
+                                   monkeypatch):
+        from repro.serve import server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 16)
+        url, _ = start_server()
+        request = urllib.request.Request(
+            url + "/v1/sweeps",
+            data=json.dumps({"kernels": ["fir"]}).encode(),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(request, timeout=10)
+        assert caught.value.code == 400
+        body = json.loads(caught.value.read().decode())
+        assert "exceeds the 16-byte limit" in body["error"]
 
 
 class TestSubmitAndStream:
@@ -374,13 +396,12 @@ class TestDistributedDispatch:
         assert {url for url, _ in seen} == set(urls)
 
     def test_one_dead_server_rebalances_to_the_survivor(
-            self, fake_compute, start_server):
+            self, fake_compute, start_server, no_backoff):
         # One of the two URLs was never alive: its shard must be
         # resubmitted to the survivor and the merge still succeed.
         url, _ = start_server()
         result, payloads = run_distributed(
-            [url, "http://127.0.0.1:9"], AXES, timeout=2.0,
-            backoff_seconds=0)
+            [url, "http://127.0.0.1:9"], AXES, timeout=2.0)
         local = run_sweep(SPECS)
         assert sweep_json_payload(result)["points"] \
             == sweep_json_payload(local)["points"]
@@ -388,25 +409,25 @@ class TestDistributedDispatch:
                 for payload in payloads} == {0, 1}
 
     def test_all_servers_dead_aggregates_every_outcome(
-            self, fake_compute):
-        # Satellite: the failure must name which shard on which
-        # host failed — every outcome, not just the first.
+            self, fake_compute, no_backoff):
+        # The failure must name which shard on which host failed —
+        # every outcome, not just the first.
         with pytest.raises(ServeClientError) as caught:
             run_distributed(
                 ["http://127.0.0.1:9", "http://127.0.0.1:10"],
-                AXES, timeout=2.0, backoff_seconds=0)
+                AXES, timeout=2.0)
         message = str(caught.value)
         assert "shard 0 @ http://127.0.0.1:9" in message
         assert "shard 1 @ http://127.0.0.1:10" in message
         assert "2/2 shard(s)" in message
 
     def test_shards_exhaust_their_attempts(self, fake_compute,
-                                           start_server,
+                                           start_server, no_backoff,
                                            monkeypatch):
         # Force every submission to fail retryably (429) and count
-        # the rounds: the dispatch must give up after max_attempts.
-        url, _ = start_server(max_concurrent_jobs=1,
-                              max_queued_jobs=0)
+        # the rounds: the dispatch must give up after MAX_ATTEMPTS.
+        monkeypatch.setattr(client_module, "MAX_ATTEMPTS", 2)
+        url, _ = start_server()
         calls = []
 
         def busy(self, request):
@@ -416,8 +437,7 @@ class TestDistributedDispatch:
 
         monkeypatch.setattr(SweepClient, "submit", busy)
         with pytest.raises(ServeClientError, match="attempt 2"):
-            run_distributed([url], AXES, max_attempts=2,
-                            backoff_seconds=0)
+            run_distributed([url], AXES)
         assert calls == [[0, 1], [0, 1]]
 
     def test_caller_supplied_shard_rejected(self, fake_compute):

@@ -338,3 +338,59 @@ class TestFigureFlags:
                     for action in commands.choices["figure"]._actions
                     if action.dest == "name")
         assert tuple(name.choices) == tuple(FIGURE_NAMES)
+
+
+def _commands_taking(flag):
+    """Subcommands whose parser declares ``flag``."""
+    import argparse
+
+    from repro.cli import _parser
+    commands = next(action for action in _parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return sorted(name for name, parser in commands.choices.items()
+                  if any(flag in action.option_strings
+                         for action in parser._actions))
+
+
+class TestUsageErrors:
+    #: Flags retired for the module constants that replaced them, with
+    #: arguments that reach the parser's verdict (nothing runs).
+    RETIRED = [
+        (["serve"], ["--max-finished-jobs", "64"]),
+        (["serve"], ["--job-ttl", "60"]),
+        (["serve"], ["--jobs", "2"]),
+        (["serve"], ["--max-queued", "1"]),
+        (["serve"], ["--max-specs", "10"]),
+        (["submit", "--server", "http://127.0.0.1:9"],
+         ["--idle-timeout", "5"]),
+        (["submit", "--server", "http://127.0.0.1:9"],
+         ["--retries", "2"]),
+        (["bench"], ["--reducer", "median"]),
+        (["bench"], ["--window", "3"]),
+        (["bench"], ["--max-regress", "10"]),
+        (["profile", "--kernel", "fir"], ["--flame"]),
+    ]
+
+    @pytest.mark.parametrize("command,retired", RETIRED,
+                             ids=[flag for _, (flag, *_) in RETIRED])
+    def test_retired_flag_is_refused_by_name(self, capsys, command,
+                                             retired):
+        with pytest.raises(SystemExit) as caught:
+            main(command + retired)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {' '.join(retired)}" \
+            in capsys.readouterr().err
+
+    def test_every_worker_pool_command_is_covered(self):
+        assert {"sweep", "figure", "explore", "serve"} \
+            <= set(_commands_taking("--workers"))
+
+    @pytest.mark.parametrize("command", _commands_taking("--workers"))
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_a_usage_error(self, capsys, command,
+                                                workers):
+        with pytest.raises(SystemExit) as caught:
+            main([command, f"--workers={workers}"])
+        assert caught.value.code == 2
+        assert f"--workers: must be at least 1, got {workers}" \
+            in capsys.readouterr().err
