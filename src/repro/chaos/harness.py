@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import time
 
 from repro.chaos.faults import ENV_FAULT, parse_fault_plan
 from repro.errors import ReproError
@@ -93,19 +92,19 @@ def _is_quarantined(point):
 def _run_phase(name, specs, fault_text, cache_dir, workers,
                point_timeout, progress):
     from repro.runtime.cache import ResultCache
-    from repro.runtime.pool import run_specs
+    from repro.runtime.pool import run_sweep
 
     before = _counter_totals()
-    started = time.perf_counter()
     with _fault_env(fault_text):
-        points, cache_hits = run_specs(
+        result = run_sweep(
             specs, workers=workers,
             cache=ResultCache(cache_dir),
             progress=progress,
             point_timeout=point_timeout)
+    points = result.points
     summary = {
-        "elapsed_seconds": round(time.perf_counter() - started, 3),
-        "cache_hits": cache_hits,
+        "elapsed_seconds": round(result.elapsed_seconds, 3),
+        "cache_hits": result.cache_hits,
         "quarantined": sum(1 for p in points if _is_quarantined(p)),
     }
     after = _counter_totals()

@@ -38,21 +38,14 @@ Commands mirror the user journeys of the examples:
   warmup/repeat control and emit/compare the ``BENCH_*.json`` perf
   document (``--compare BASELINE.json`` exits 3 when a case is more
   than 25% slower; see :mod:`repro.perf`);
-- ``trace``         — run a sweep with pipeline tracing on and write
-  the spans as Chrome trace-event JSON (load in Perfetto or
-  ``chrome://tracing``); ``--analyze`` adds the critical path /
-  self-time / occupancy / straggler report, ``--from FILE`` analyses
-  a saved trace instead of running; ``sweep``/``diff``/``submit``/
-  ``explore`` write the same capture via ``--trace-out FILE``
-  (see :mod:`repro.obs`);
+- ``trace FILE``    — analyse a trace saved by ``--trace-out``
+  (``sweep``/``diff``/``submit``/``explore`` record the pipeline's
+  spans as Chrome trace-event JSON, loadable in Perfetto or
+  ``chrome://tracing``): critical path, per-stage self time, worker
+  occupancy, straggler shards (see :mod:`repro.obs`);
 - ``metrics``       — print the Prometheus text exposition of this
   process's metric registry, or scrape a running server's
   ``/metrics`` with ``--server URL``;
-- ``profile``       — map one case ``--repeat`` times under the
-  sampling profiler (:mod:`repro.obs.flame`) and print the hottest
-  functions, so perf work starts from data; ``--flame-out`` writes
-  the collapsed stacks (``sweep``/``bench`` accept the same flag;
-  a sampled run is never recorded in the ledger or gated);
 - ``history``       — render the persistent run ledger every
   unsampled bench/sweep/diff run appends to (see
   :mod:`repro.perf.ledger`);
@@ -77,15 +70,22 @@ Commands mirror the user journeys of the examples:
 
 Sweeps and figure prewarms stream one progress line per landed point
 to stderr, so stdout stays clean for tables and JSON; ``--quiet`` (or
-``REPRO_QUIET=1``) silences those lines.
+``REPRO_QUIET=1``) silences those lines.  ``--flame-out FILE`` on
+``sweep`` and ``bench`` samples the run (:mod:`repro.obs.flame`),
+writes the collapsed stacks to FILE and prints the hottest functions
+to stderr; a sampled run is never recorded in the ledger or gated.
+To profile one case: ``bench --cases K@C/V --warmup 0 --repeat N
+--flame-out FILE``.
 
 Plumbing the commands share is written once: one table in
 ``_parser`` declares every shared flag (``--workers`` below 1 is a
-usage error on every command); ``_sweep_specs`` resolves the
-sweep axes; ``_run_shard`` runs every ``--shard I/N`` on the server's
+usage error on every command), and no command takes an abbreviated
+long option; ``_sweep_specs`` resolves the sweep axes; ``_run_shard``
+runs every ``--shard I/N`` on the server's
 :class:`~repro.runtime.shard.SweepRequest`; ``_traced`` writes the
-spans of ``--trace-out`` and ``repro trace``; ``_print_sweep`` and
-``_emit`` print sweep results and ``--out`` reports.
+spans of ``--trace-out`` and ``_sampling`` the stacks of
+``--flame-out``; ``_print_sweep`` and ``_emit`` print sweep results
+and ``--out`` reports.
 """
 
 from __future__ import annotations
@@ -108,17 +108,36 @@ from repro.sim.cgra import CGRASimulator
 from repro.sim.cpu import CPUModel
 
 
-def positive_int(text):
-    """argparse type of a count that must be at least 1."""
+def _int_at_least(text, least):
     value = int(text)
-    if value < 1:
+    if value < least:
         raise argparse.ArgumentTypeError(
-            f"must be at least 1, got {value}")
+            f"must be at least {least}, got {value}")
     return value
 
 
+def positive_int(text):
+    """argparse type of a count that must be at least 1."""
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text):
+    """argparse type of a count that may be 0."""
+    return _int_at_least(text, 0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated long options, so a removed
+    flag that prefixes a kept one (``--flame`` of ``--flame-out``) is
+    refused instead of living on as a hidden alias.  Subcommand
+    parsers are made from the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def _parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Context-memory aware CGRA mapping (DATE 2019 "
                     "reproduction)")
@@ -317,9 +336,9 @@ def _parser():
         configs=dict(help="comma-separated configs (default: HOM32)"),
         variants=dict(help="comma-separated flow variants "
                            "(default: full)"))
-    bench.add_argument("--warmup", type=int, default=1,
+    bench.add_argument("--warmup", type=non_negative_int, default=1,
                        help="unrecorded runs per case (default 1)")
-    bench.add_argument("--repeat", type=int, default=3,
+    bench.add_argument("--repeat", type=positive_int, default=3,
                        help="recorded runs per case (default 3)")
     bench.add_argument("--out", default=None, metavar="FILE",
                        help="also write the JSON document to FILE")
@@ -334,52 +353,19 @@ def _parser():
                             "ledger; exit 3 if a case is over 25%% "
                             "slower")
     bench.add_argument("--flame-out", default=None, metavar="FILE",
-                       help="sample the bench thread and write "
-                            "collapsed flame stacks to FILE (no "
-                            "gate; not recorded in the ledger)")
+                       help="sample the bench thread, write "
+                            "collapsed flame stacks to FILE and "
+                            "print the hottest functions (no gate; "
+                            "not recorded in the ledger)")
 
-    # No abbreviations here: the retired ``--flame`` would otherwise
-    # still parse, as a prefix of ``--flame-out``.
-    profile = sub.add_parser(
-        "profile", help="sample repeated map_kernel runs of one case "
-                        "(see repro.obs.flame)", allow_abbrev=False)
-    profile.add_argument("--kernel", required=True,
-                        choices=PAPER_KERNEL_ORDER)
-    profile.add_argument("--config", default="HOM32",
-                        choices=sorted(CGRA_CONFIGS))
-    profile.add_argument("--variant", default="full",
-                        choices=sorted(VARIANTS))
-    profile.add_argument("--top", type=int, default=20,
-                        help="functions to print (default 20)")
-    profile.add_argument("--hz", type=float, default=None,
-                        help="sampling rate (default 97)")
-    profile.add_argument("--repeat", type=int, default=5,
-                        help="mappings sampled under one profile, at "
-                             "least 1 (default 5 — one mapping is too "
-                             "fast to sample)")
-    profile.add_argument("--flame-out", default=None, metavar="FILE",
-                        help="write collapsed flame stacks to FILE "
-                             "(flamegraph.pl / speedscope input)")
-
-    trace_cmd = add(sub.add_parser(
-        "trace", help="run a traced sweep, write Chrome trace JSON "
-                      "(see repro.obs)"),
-        *axes, "--seed", "--backend", "--workers", *cache_flags,
-        "--quiet")
-    trace_cmd.add_argument("--out", default="trace.json",
-                           metavar="FILE",
-                           help="Chrome trace-event JSON output "
-                                "(default trace.json); load it in "
-                                "Perfetto or chrome://tracing")
-    trace_cmd.add_argument("--analyze", action="store_true",
-                           help="also print trace analytics: "
-                                "critical path, per-stage self time, "
-                                "worker occupancy, straggler shards")
-    trace_cmd.add_argument("--from", dest="from_file", default=None,
-                           metavar="FILE",
-                           help="analyze a saved --trace-out file "
-                                "instead of running a sweep "
-                                "(implies --analyze)")
+    trace_cmd = sub.add_parser(
+        "trace", help="analyse a trace saved by --trace-out "
+                      "(see repro.obs.analyze)")
+    trace_cmd.add_argument("file", metavar="FILE",
+                           help="Chrome trace JSON written by "
+                                "--trace-out: prints its critical "
+                                "path, per-stage self time, worker "
+                                "occupancy and straggler shards")
     trace_cmd.add_argument("--json", action="store_true",
                            help="emit the trace-analysis payload as "
                                 "JSON on stdout")
@@ -530,55 +516,56 @@ def _progress(args, describe=lambda update: update.describe()):
 
 
 @contextlib.contextmanager
-def _sampling(flame_out=None, hz=None):
-    """Run the block under the sampling profiler; yields the profiler.
+def _sampling(flame_out):
+    """Sample the calling thread during the block, write the
+    collapsed stacks to ``flame_out`` and print the hottest functions
+    to stderr.  A no-op without ``flame_out``.
 
     The one place a command starts and stops
-    :class:`~repro.obs.flame.SamplingProfiler`: ``profile`` always,
-    ``sweep``/``bench`` under ``--flame-out``.  Only the calling
-    thread is sampled.  ``flame_out`` receives the collapsed stacks
-    even when the wrapped run fails — a profile of the run that
-    misbehaved is the one worth keeping.
+    :class:`~repro.obs.flame.SamplingProfiler`, behind ``--flame-out``
+    on ``sweep`` and ``bench``.  The stacks are written even when the
+    block fails — a profile of the run that misbehaved is the one
+    worth keeping.
     """
+    if not flame_out:
+        yield
+        return
     import threading
 
     from repro.obs import flame
-    rate = flame.DEFAULT_HZ if hz is None else hz
     profiler = flame.SamplingProfiler(
-        rate, thread_ids={threading.get_ident()})
+        thread_ids={threading.get_ident()})
     profiler.start()
     try:
-        yield profiler
+        yield
     finally:
         counts = profiler.stop()
-        if flame_out:
-            flame.write_collapsed(flame_out, counts)
-            print(f"{sum(counts.values())} stack sample(s) @ "
-                  f"{rate:g} Hz -> {flame_out}",
-                  file=sys.stderr, flush=True)
+        flame.write_collapsed(flame_out, counts)
+        print(f"{sum(counts.values())} stack sample(s) @ "
+              f"{profiler.hz:g} Hz -> {flame_out}",
+              file=sys.stderr, flush=True)
+        print(flame.render_flame(counts), file=sys.stderr, flush=True)
 
 
 @contextlib.contextmanager
 def _traced(out):
     """Record pipeline spans during the block and write them to
-    ``out`` as Chrome trace JSON; yields the list the spans land in
-    (filled on exit).  A no-op without ``out``.
+    ``out`` as Chrome trace JSON.  A no-op without ``out``.
 
-    The one span writer, behind every ``--trace-out`` and
-    ``repro trace --out``.  The file is written even when the block
-    fails — a trace of the run that misbehaved is the one worth
-    keeping.
+    The one span writer, behind every ``--trace-out``; ``repro
+    trace FILE`` analyses what it wrote.  The file is written even
+    when the block fails — a trace of the run that misbehaved is the
+    one worth keeping.
     """
-    spans = []
     if not out:
-        yield spans
+        yield
         return
     from repro.obs import trace
     trace.enable_tracing()
     try:
-        yield spans
+        yield
     finally:
-        spans.extend(trace.drain_spans())
+        spans = trace.drain_spans()
         trace.write_chrome_trace(out, spans)
         print(f"{len(spans)} spans -> {out}", file=sys.stderr,
               flush=True)
@@ -669,8 +656,7 @@ def _cache_from(args):
 
 def _run_sweep(args, specs, cache):
     """Run ``specs`` with the command's workers, progress and point
-    deadline: the sweep behind ``sweep``, ``trace`` and every
-    ``--shard`` run."""
+    deadline: the sweep behind ``sweep`` and every ``--shard`` run."""
     from repro.runtime.pool import run_sweep
 
     return run_sweep(specs, workers=args.workers, cache=cache,
@@ -799,8 +785,7 @@ def _sweep(args):
         # recorded in the ledger, whose trends compare whole runs.
         return _run_shard(args, specs)
     cache = _cache_from(args)
-    with (_sampling(args.flame_out) if args.flame_out
-          else contextlib.nullcontext()):
+    with _sampling(args.flame_out):
         result = _run_sweep(args, specs, cache)
     from repro.perf.ledger import sweep_summary
     _record_ledger(args, "sweep", sweep_summary(result))
@@ -1024,8 +1009,7 @@ def _bench(args):
         cases = default_cases(kernels=_split_axis(args.kernels),
                               configs=_split_axis(args.configs),
                               variants=_split_axis(args.variants))
-    with (_sampling(args.flame_out) if args.flame_out
-          else contextlib.nullcontext()):
+    with _sampling(args.flame_out):
         results = run_bench(cases, warmup=args.warmup,
                             repeat=args.repeat,
                             progress=_progress(args, describe=str))
@@ -1062,28 +1046,13 @@ def _bench(args):
     return 3 if any(regressions for _, _, regressions in gates) else 0
 
 
-def _print_analysis(spans, as_json):
-    from repro.obs import analyze
-    payload = analyze.analyze_spans(spans)
-    print(json.dumps(payload, indent=2) if as_json
-          else analyze.render_analysis(payload))
-
-
 def _trace(args):
     from repro.obs import analyze
 
-    if args.from_file:
-        # Post-mortem mode: analyse a saved --trace-out file without
-        # running anything.
-        _print_analysis(analyze.load_trace_file(args.from_file),
-                        args.json)
-        return 0
-    specs = _sweep_specs(args)
-    with _traced(args.out) as spans:
-        result = _run_sweep(args, specs, _cache_from(args))
-    if args.analyze:
-        _print_analysis(spans, args.json)
-    return 1 if result.crashed else 0
+    payload = analyze.analyze_spans(analyze.load_trace_file(args.file))
+    print(json.dumps(payload, indent=2) if args.json
+          else analyze.render_analysis(payload))
+    return 0
 
 
 def _history(args):
@@ -1164,25 +1133,6 @@ def _metrics(args):
     if cache is not None:
         cache.stats()
     sys.stdout.write(metrics.REGISTRY.render())
-    return 0
-
-
-def _profile(args):
-    from repro.obs.flame import render_flame
-    from repro.perf import BenchCase, run_bench
-
-    if args.repeat < 1:
-        raise ReproError(f"--repeat must be at least 1, "
-                         f"got {args.repeat}")
-    case = BenchCase(args.kernel, args.config, args.variant)
-    # One mapping is milliseconds — too fast for a wall-clock
-    # sampler to see much — so the case is mapped repeatedly under
-    # one profile.
-    with _sampling(args.flame_out, hz=args.hz) as profiler:
-        run_bench([case], warmup=0, repeat=args.repeat)
-    print(f"flame: {case.name} ({profiler.samples} wakeup(s) @ "
-          f"{profiler.hz:g} Hz x {args.repeat} mapping(s))")
-    print(render_flame(profiler.counts, top=args.top))
     return 0
 
 
@@ -1317,9 +1267,9 @@ def main(argv=None):
                 "diff": _diff, "merge": _merge, "cache": _cache,
                 "figure": _figure, "explore": _explore,
                 "serve": _serve, "submit": _submit, "bench": _bench,
-                "profile": _profile, "trace": _trace,
-                "metrics": _metrics, "history": _history,
-                "report": _report, "chaos": _chaos}
+                "trace": _trace, "metrics": _metrics,
+                "history": _history, "report": _report,
+                "chaos": _chaos}
     # ``--trace-out`` records the whole command, failing exits too.
     with _traced(getattr(args, "trace_out", None)):
         try:

@@ -32,7 +32,7 @@ from repro.kernels import PAPER_KERNEL_ORDER, get_kernel
 from repro.mapping.flow import map_kernel
 from repro.power.area import AreaModel
 from repro.power.energy import EnergyModel
-from repro.runtime.pool import run_specs
+from repro.runtime.pool import run_sweep
 from repro.runtime.sweep import (
     DEFAULT_SEED as INPUT_SEED,
     DETERMINISTIC_ERRORS,
@@ -102,7 +102,7 @@ def prefetch_points(specs, workers=1, cache=None, progress=None):
     """Batch-compute specs into the memo via the parallel engine.
 
     Already-memoised specs are skipped; the rest run through
-    :func:`repro.runtime.pool.run_specs` (process-parallel when
+    :func:`repro.runtime.pool.run_sweep` (process-parallel when
     ``workers > 1``, consulting/filling the persistent ``cache`` when
     given) and land in the per-process memo the drivers read.
     ``progress`` receives a
@@ -117,9 +117,9 @@ def prefetch_points(specs, workers=1, cache=None, progress=None):
             missing.append(spec)
     if not missing:
         return 0
-    points, _ = run_specs(missing, workers=workers, cache=cache,
-                          progress=progress)
-    for spec, point in zip(missing, points):
+    result = run_sweep(missing, workers=workers, cache=cache,
+                       progress=progress)
+    for spec, point in zip(result.specs, result.points):
         if point.error in DETERMINISTIC_ERRORS:
             _POINT_CACHE[spec] = point
         # A captured worker crash is not memoised: the next serial

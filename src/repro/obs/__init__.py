@@ -4,8 +4,7 @@ The telemetry layer every later perf PR reads from:
 
 - :mod:`repro.obs.trace` — spans around every pipeline stage, with
   context propagation across worker processes and HTTP, and Chrome
-  trace-event export (``repro trace``, ``--trace-out``,
-  ``REPRO_TRACE=1``);
+  trace-event export (``--trace-out``, ``REPRO_TRACE=1``);
 - :mod:`repro.obs.metrics` — counters/gauges/histograms on one
   process-wide registry, rendered in the Prometheus text format
   (``GET /metrics`` on the serve tier, ``repro metrics`` locally);
@@ -13,10 +12,10 @@ The telemetry layer every later perf PR reads from:
   (``REPRO_LOG=level[:json]``), replacing ad-hoc prints;
 - :mod:`repro.obs.analyze` — trace analytics over a span tree:
   critical path, per-stage self time, worker occupancy, straggler
-  shards (``repro trace --analyze``);
+  shards of a saved capture (``repro trace FILE``);
 - :mod:`repro.obs.flame` — the zero-dependency sampling profiler,
   the repo's only one, with collapsed-stack flame output
-  (``repro profile``, ``--flame-out`` on ``sweep``/``bench``);
+  (``--flame-out`` on ``sweep``/``bench``);
 - :mod:`repro.obs.report` — the self-contained HTML dashboard
   (``repro report``, ``GET /dashboard``).
 

@@ -21,7 +21,7 @@ reloaded from a ``--trace-out`` Chrome trace file — it computes:
 
 The result is a JSON-safe payload (``kind: "trace-analysis"``,
 schema-versioned like the bench/sweep documents) surfaced by
-``repro trace --analyze`` and folded into the ``repro report``
+``repro trace FILE`` and folded into the ``repro report``
 dashboard.  Spans are analysed as *data*: a subset trace whose
 parents were dropped by the bounded collector degrades to multiple
 roots (counted in ``orphans``), never to a crash.
@@ -107,7 +107,7 @@ def load_trace_file(path):
     if not spans:
         raise ReproError(
             f"trace {path} holds no repro spans (was it written by "
-            f"--trace-out / repro trace?)")
+            f"--trace-out?)")
     return spans
 
 
@@ -226,9 +226,8 @@ def analyze_spans(spans, straggler_factor=DEFAULT_STRAGGLER_FACTOR):
              if isinstance(span, dict)
              and isinstance(span.get("span_id"), str)]
     if not spans:
-        raise ReproError("no spans to analyze (enable tracing with "
-                         "--trace-out / REPRO_TRACE=1, or point "
-                         "--from at a saved trace)")
+        raise ReproError("no spans to analyze (record them with "
+                         "--trace-out or REPRO_TRACE=1)")
     by_id, children, roots, orphans = _index(spans)
     root = max(roots, key=lambda s: (_wall(s), s["span_id"]))
     root_wall = _wall(root)
@@ -345,7 +344,7 @@ def _ms(us):
 
 
 def render_analysis(payload):
-    """Human-readable analysis (what ``repro trace --analyze`` prints)."""
+    """Human-readable analysis (what ``repro trace FILE`` prints)."""
     root = payload["root"]
     lines = [
         f"trace {payload['trace_id'] or '?'}: {payload['spans']} "

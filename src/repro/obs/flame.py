@@ -20,7 +20,10 @@ regression gate (see ``repro.cli``).
 
 Output is the collapsed-stack format (``outer;inner;leaf count`` per
 line) that flamegraph.pl / speedscope / inferno all consume, written
-by ``--flame-out`` on ``repro profile`` / ``sweep`` / ``bench``.
+by ``--flame-out`` on ``repro sweep`` / ``bench``, which also print
+:func:`render_flame`'s table of the hottest functions to stderr.  To
+profile one case, map it repeatedly under one sample:
+``repro bench --cases K@C/V --warmup 0 --repeat N --flame-out FILE``.
 """
 
 from __future__ import annotations
@@ -31,9 +34,12 @@ from collections import Counter
 
 from repro.errors import ReproError
 
-#: Sampling rate when none is given (``repro profile --hz``).
-#: Prime-ish, so a periodic workload can't hide between samples.
+#: Sampling rate of every ``--flame-out`` run.  Prime-ish, so a
+#: periodic workload can't hide between samples.
 DEFAULT_HZ = 97.0
+
+#: Leaf functions :func:`render_flame` lists, hottest first.
+TOP_FUNCTIONS = 25
 
 
 def _frame_stack(frame):
@@ -63,7 +69,6 @@ class SamplingProfiler:
         self.thread_ids = (set(thread_ids)
                            if thread_ids is not None else None)
         self.counts = Counter()
-        self.samples = 0
         self._stop = threading.Event()
         self._thread = None
 
@@ -81,7 +86,6 @@ class SamplingProfiler:
                 stack = _frame_stack(frame)
                 if stack:
                     self.counts[";".join(stack)] += 1
-            self.samples += 1
 
     def start(self):
         if self._thread is not None:
@@ -123,12 +127,13 @@ def write_collapsed(path, counts):
     return path
 
 
-def render_flame(counts, top=25):
+def render_flame(counts):
     """Terminal summary: hottest leaf functions, then hottest stacks."""
     total = sum(counts.values())
     if not total:
         return ("no samples collected (workload too fast for the "
-                "sampling rate — raise --hz or --repeat)")
+                "sampling rate — sample a longer run, e.g. a higher "
+                "bench --repeat)")
     leaves = Counter()
     on_stack = Counter()
     for stack, count in counts.items():
@@ -139,7 +144,7 @@ def render_flame(counts, top=25):
     lines = [f"{total} sample(s), {len(counts)} distinct stack(s)",
              "",
              f"{'self%':>7s} {'total%':>7s} {'samples':>8s}  function"]
-    for name, count in leaves.most_common(top):
+    for name, count in leaves.most_common(TOP_FUNCTIONS):
         lines.append(f"{count / total:7.1%} "
                      f"{on_stack[name] / total:7.1%} "
                      f"{count:8d}  {name}")

@@ -13,8 +13,9 @@ across worker processes and HTTP hops.
 Tracing is **off by default** and the off path is near-free:
 :func:`span` returns a shared no-op context manager without
 allocating anything when no trace is active.  Turn it on with
-:func:`enable_tracing` (the ``repro trace`` command, ``--trace-out``)
-or ``REPRO_TRACE=1`` in the environment.
+:func:`enable_tracing` (``--trace-out`` on ``sweep``, ``diff``,
+``explore`` and ``submit``) or ``REPRO_TRACE=1`` in the environment;
+``repro trace FILE`` analyses a saved capture.
 
 Propagation uses a W3C-``traceparent``-shaped header,
 ``00-{trace_id}-{span_id}-01``:

@@ -10,11 +10,16 @@ turns that unit into a first-class, batchable job:
   custom context-memory depths for design-space exploration);
   :func:`compute_point` executes it; :func:`sweep_specs` expands
   "all kernels × all configs × all variants" into one batch.
-- :mod:`repro.runtime.pool` — :func:`run_specs` fans a batch out over
-  ``concurrent.futures.ProcessPoolExecutor`` workers with
-  deterministic result ordering and worker-side exception capture
-  (an :class:`~repro.errors.UnmappableError` in one point never kills
+- :mod:`repro.runtime.pool` — :func:`run_sweep`, the one batch
+  collector, fans a batch out over
+  ``concurrent.futures.ProcessPoolExecutor`` workers into a
+  :class:`SweepResult` with deterministic result ordering and
+  worker-side exception capture (an
+  :class:`~repro.errors.UnmappableError` in one point never kills
   the sweep); ``workers=1`` is a plain serial loop.
+- :mod:`repro.runtime.backends` — the two execution backends a
+  spec's ``backend`` field picks: ``analytic`` (lockstep simulator,
+  the default) and ``cycle`` (cycle-level executor).
 - :mod:`repro.runtime.cache` — :class:`ResultCache` persists computed
   points as their JSON documents (:func:`point_to_json`) under
   ``~/.cache/repro/`` (override with ``REPRO_CACHE_DIR``)
@@ -52,9 +57,6 @@ Streaming and sharding::
 from repro.runtime.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
-    backend_names,
-    get_backend,
-    register_backend,
     validated_backend,
 )
 from repro.runtime.cache import (
@@ -71,7 +73,7 @@ from repro.runtime.diff import (
     run_diff,
     validated_diff_backends,
 )
-from repro.runtime.pool import run_specs, run_sweep
+from repro.runtime.pool import run_sweep
 from repro.runtime.shard import (
     estimated_cost,
     load_sweep_payload,
@@ -112,11 +114,9 @@ __all__ = [
     "ResultCache",
     "StreamUpdate",
     "SweepResult",
-    "backend_names",
     "compute_point",
     "default_cache_dir",
     "estimated_cost",
-    "get_backend",
     "load_sweep_payload",
     "merge_sweep_files",
     "merge_sweep_payloads",
@@ -125,9 +125,7 @@ __all__ = [
     "point_from_json",
     "point_key",
     "point_to_json",
-    "register_backend",
     "run_diff",
-    "run_specs",
     "run_sweep",
     "shard_indices",
     "shard_specs",

@@ -1,15 +1,11 @@
-"""Named execution backends behind the ``PointSpec`` contract.
+"""The two execution backends behind the ``PointSpec`` contract.
 
 Every figure, sweep, exploration and served job funnels through one
-function signature — ``PointSpec -> ExperimentPoint`` — and this
-module makes that signature pluggable: a *backend* is a named
-implementation of it, registered in :data:`BACKENDS`, selected per
-point by the spec's ``backend`` field (a sweep axis like any other —
-it perturbs the cache key, the shard payload and the sweep
-fingerprint, so points computed by different backends can never be
-confused).
-
-Two backends ship:
+function signature — ``PointSpec -> ExperimentPoint``, here
+:func:`backend_point` — and a spec's ``backend`` field (a sweep axis
+like any other — it perturbs the cache key, the shard payload and the
+sweep fingerprint, so points computed by different backends can never
+be confused) picks how it executes:
 
 - ``analytic`` (the default) — the original pipeline: map, assemble,
   then the lockstep :class:`~repro.sim.cgra.CGRASimulator`, whose
@@ -26,21 +22,10 @@ reference before any latency/energy number is reported.  What differs
 is everything downstream of assembly — which is exactly the part the
 paper's numbers rest on, and exactly what ``repro diff``
 (:mod:`repro.runtime.diff`) compares across backends.
-
-Registering a future backend (a SAT-oracle replay, a streaming
-model) is one decorated function::
-
-    @register_backend("sat", description="exact replay oracle")
-    def _sat_point(spec):
-        ...
-
-and it immediately becomes a sweep axis value, a ``repro diff``
-operand, a serve-tier submission field and a DSE dimension.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import time
 
@@ -55,53 +40,20 @@ from repro.power.energy import EnergyModel
 #: The backend a spec gets when none is named.
 DEFAULT_BACKEND = "analytic"
 
-#: name -> :class:`Backend`, in registration order.
-BACKENDS = {}
-
-
-@dataclasses.dataclass(frozen=True)
-class Backend:
-    """One named ``PointSpec -> ExperimentPoint`` implementation."""
-
-    name: str
-    runner: object
-    description: str
-
-    def __call__(self, spec):
-        return self.runner(spec)
-
-
-def register_backend(name, description=""):
-    """Decorator: publish a ``PointSpec -> ExperimentPoint`` callable."""
-    def decorate(func):
-        if name in BACKENDS:
-            raise ReproError(f"backend {name!r} already registered")
-        BACKENDS[name] = Backend(name=name, runner=func,
-                                 description=description)
-        return func
-    return decorate
-
-
-def backend_names():
-    """Registered backend names, registration order."""
-    return tuple(BACKENDS)
-
-
-def get_backend(name):
-    """Look a backend up, diagnosing unknown names with the valid set."""
-    try:
-        return BACKENDS[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown backend {name!r}; choose from "
-            f"{', '.join(BACKENDS)}") from None
+#: Every backend name, the default first.
+BACKENDS = (DEFAULT_BACKEND, "cycle")
 
 
 def validated_backend(name):
-    """``None`` -> the default; otherwise a known backend's name."""
+    """``None`` -> the default; otherwise a known backend's name,
+    diagnosing an unknown one with the valid set."""
     if name is None:
         return DEFAULT_BACKEND
-    return get_backend(name).name
+    if name not in BACKENDS:
+        raise ReproError(
+            f"unknown backend {name!r}; choose from "
+            f"{', '.join(BACKENDS)}")
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -189,42 +141,21 @@ def _finish(spec, kernel, cgra, mapping, seconds, run):
                            tile_words=mapping.tile_words())
 
 
-def _memory_for(kernel, spec):
-    return kernel.make_memory(
-        kernel.make_inputs(np.random.default_rng(spec.seed)))
-
-
-# ----------------------------------------------------------------------
-# The two seed backends
-# ----------------------------------------------------------------------
-@register_backend(
-    "analytic",
-    description="lockstep simulator; cycles restate the mapper's "
-                "scheduled block lengths")
-def _analytic_point(spec):
-    from repro.sim.cgra import CGRASimulator
-
+def backend_point(spec):
+    """Run one resolved spec on its backend: map and assemble, execute
+    on the lockstep simulator (``analytic``) or the cycle-level
+    executor (``cycle``), then verify and price."""
     prepared = _prepare(spec)
     if not isinstance(prepared, tuple):
         return prepared
     kernel, cgra, mapping, program, seconds = prepared
+    if spec.backend == "cycle":
+        from repro.sim.executor import CycleExecutor as engine
+    else:
+        from repro.sim.cgra import CGRASimulator as engine
     with stage("execute", kernel=spec.kernel_name,
-               backend="analytic"):
-        run = CGRASimulator(program, _memory_for(kernel, spec)).run()
-    return _finish(spec, kernel, cgra, mapping, seconds, run)
-
-
-@register_backend(
-    "cycle",
-    description="event-driven cycle-level executor; durations "
-                "measured from the instruction stream")
-def _cycle_point(spec):
-    from repro.sim.executor import CycleExecutor
-
-    prepared = _prepare(spec)
-    if not isinstance(prepared, tuple):
-        return prepared
-    kernel, cgra, mapping, program, seconds = prepared
-    with stage("execute", kernel=spec.kernel_name, backend="cycle"):
-        run = CycleExecutor(program, _memory_for(kernel, spec)).run()
+               backend=spec.backend):
+        memory = kernel.make_memory(
+            kernel.make_inputs(np.random.default_rng(spec.seed)))
+        run = engine(program, memory).run()
     return _finish(spec, kernel, cgra, mapping, seconds, run)

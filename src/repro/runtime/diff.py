@@ -4,7 +4,7 @@
 comparison is how silent modeling errors surface; this module is that
 comparison turned into a first-class batch operation.  Every spec is
 paired — once per backend under test — and the pairs run as *one*
-combined :func:`~repro.runtime.pool.run_specs` batch, so the process
+combined :func:`~repro.runtime.pool.run_sweep` batch, so the process
 pool, the cache and the progress stream all work exactly as they do
 for an ordinary sweep (backends already perturb the cache key, so
 pairs can never collide).
@@ -42,9 +42,9 @@ import time
 
 from repro.errors import ReproError
 from repro.runtime.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
-    backend_names,
-    get_backend,
+    validated_backend,
 )
 from repro.runtime.sweep import DETERMINISTIC_ERRORS
 
@@ -226,12 +226,11 @@ def validated_diff_backends(names):
     if len(names) != 2:
         raise ReproError(
             f"diff compares exactly two backends, got {len(names)}")
-    for name in names:
-        get_backend(name)
+    names = tuple(validated_backend(name) for name in names)
     if names[0] == names[1]:
         raise ReproError(
             f"diff needs two distinct backends, got {names[0]!r} "
-            f"twice; choose from {', '.join(backend_names())}")
+            f"twice; choose from {', '.join(BACKENDS)}")
     return names
 
 
@@ -246,7 +245,7 @@ def run_diff(specs, backends=None, abs_tol=DEFAULT_ABS_TOL,
     cache/progress behaviour matches an ordinary sweep.
     """
     from repro.obs import metrics, trace
-    from repro.runtime.pool import run_specs
+    from repro.runtime.pool import run_sweep
 
     backend_a, backend_b = validated_diff_backends(backends)
     resolved = [spec.resolve() for spec in specs]
@@ -256,8 +255,9 @@ def run_diff(specs, backends=None, abs_tol=DEFAULT_ABS_TOL,
     started = time.perf_counter()
     with trace.span("diff", backends=f"{backend_a},{backend_b}",
                     points=len(resolved)):
-        points, cache_hits = run_specs(paired, workers=workers,
-                                       cache=cache, progress=progress)
+        batch = run_sweep(paired, workers=workers, cache=cache,
+                          progress=progress)
+    points = batch.points
     records = []
     for index, spec in enumerate(resolved):
         point_a, point_b = points[2 * index], points[2 * index + 1]
@@ -278,5 +278,5 @@ def run_diff(specs, backends=None, abs_tol=DEFAULT_ABS_TOL,
             digest_b=point_b.output_digest))
     return DiffResult(backend_a=backend_a, backend_b=backend_b,
                       records=records, abs_tol=abs_tol,
-                      rel_tol=rel_tol, cache_hits=cache_hits,
+                      rel_tol=rel_tol, cache_hits=batch.cache_hits,
                       elapsed_seconds=time.perf_counter() - started)

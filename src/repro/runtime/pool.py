@@ -1,7 +1,8 @@
 """The parallel experiment engine (batch interface).
 
-:func:`run_specs` executes a batch of
-:class:`~repro.runtime.sweep.PointSpec` with three guarantees:
+:func:`run_sweep` executes a batch of
+:class:`~repro.runtime.sweep.PointSpec` into one
+:class:`~repro.runtime.sweep.SweepResult` with three guarantees:
 
 - **Deterministic ordering** — results come back in the order the
   specs were given, regardless of which worker finished first.
@@ -96,26 +97,28 @@ def _compute_traced(spec, carrier):
     return point, trace.drain_spans()
 
 
-def run_specs(specs, workers=1, cache=None, progress=None,
-              point_timeout=None):
-    """Execute a batch of specs; returns ``(points, cache_hits)``.
+def run_sweep(specs=None, workers=1, cache=None, progress=None,
+              mp_context=None, point_timeout=None):
+    """Run a batch (default: the full paper sweep) into a SweepResult.
 
-    ``points`` is ordered like ``specs``.  ``cache`` is a
+    The result's points are ordered like ``specs``; a spec given
+    twice is computed once and its point fanned out to both
+    positions.  ``cache`` is a
     :class:`~repro.runtime.cache.ResultCache` or None (disabled).
-    ``progress`` is forwarded to the streaming engine: it is called
-    with a :class:`~repro.runtime.stream.StreamUpdate` as each unique
-    point lands, so long batches can report incrementally.
-    ``point_timeout`` is the per-point wall-clock deadline in seconds
-    (None: ``$REPRO_POINT_TIMEOUT``, else unlimited).
+    ``progress`` is called with a
+    :class:`~repro.runtime.stream.StreamUpdate` as each unique point
+    lands, so long batches can report incrementally.
+    ``mp_context`` and ``point_timeout`` (the per-point wall-clock
+    deadline in seconds; None: ``$REPRO_POINT_TIMEOUT``, else
+    unlimited) go to :func:`~repro.runtime.stream.stream_specs`.
     """
     from repro.runtime.stream import stream_specs
 
+    if specs is None:
+        specs = sweep_specs()
     specs = [spec.resolve() for spec in specs]
-    positions = {}
-    for index, spec in enumerate(specs):
-        positions.setdefault(spec, []).append(index)
-
-    points = [None] * len(specs)
+    started = time.perf_counter()
+    landed = {}
     cache_hits = 0
 
     def observe(update):
@@ -127,22 +130,11 @@ def run_specs(specs, workers=1, cache=None, progress=None,
 
     for spec, point in stream_specs(specs, workers=workers, cache=cache,
                                     progress=observe,
+                                    mp_context=mp_context,
                                     point_timeout=point_timeout):
-        for index in positions[spec]:
-            points[index] = point
-    return points, cache_hits
-
-
-def run_sweep(specs=None, workers=1, cache=None, progress=None,
-              point_timeout=None):
-    """Run a batch (default: the full paper sweep) into a SweepResult."""
-    if specs is None:
-        specs = sweep_specs()
-    specs = [spec.resolve() for spec in specs]
-    started = time.perf_counter()
-    points, cache_hits = run_specs(specs, workers=workers, cache=cache,
-                                   progress=progress,
-                                   point_timeout=point_timeout)
-    return SweepResult(specs=specs, points=points, cache_hits=cache_hits,
-                       computed=len({s for s in specs}) - cache_hits,
+        landed[spec] = point
+    return SweepResult(specs=specs,
+                       points=[landed[spec] for spec in specs],
+                       cache_hits=cache_hits,
+                       computed=len(landed) - cache_hits,
                        elapsed_seconds=time.perf_counter() - started)

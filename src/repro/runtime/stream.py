@@ -1,7 +1,7 @@
 """Streaming result collection: points as they finish, not at the end.
 
 :func:`stream_specs` is the incremental counterpart of
-:func:`repro.runtime.pool.run_specs`: it yields ``(spec, point)``
+:func:`repro.runtime.pool.run_sweep`: it yields ``(spec, point)``
 pairs *as workers finish them*, so a consumer — a progress bar, an
 incrementally rendered figure, a shard writer — can act on each
 result while the slowest point is still mapping.  The batch API is a
@@ -20,7 +20,7 @@ Ordering contract:
 - computed points follow in completion order, which is
   non-deterministic under ``workers > 1``.  Consumers that need spec
   order collect into a dict and re-walk the input (see
-  ``pool.run_specs``).
+  ``pool.run_sweep``).
 
 Every yielded result is also reported to the optional ``progress``
 callback as a :class:`StreamUpdate` carrying running counts, so

@@ -37,7 +37,11 @@ from repro.errors import ReproError
 from repro.kernels import PAPER_KERNEL_ORDER
 from repro.mapping.flow import VARIANTS, FlowOptions
 from repro.power.energy import EnergyBreakdown
-from repro.runtime.backends import DEFAULT_BACKEND, get_backend
+from repro.runtime.backends import (
+    DEFAULT_BACKEND,
+    backend_point,
+    validated_backend,
+)
 
 #: Default input seed for all experiment executions.
 DEFAULT_SEED = 7
@@ -176,11 +180,14 @@ class PointSpec:
         Configuration lookup is case-insensitive, so ``hom64`` and
         ``HOM64`` describe the same computation — normalising here
         makes them share one memo entry and one cache key.  The
-        backend name is validated here too, so an unknown backend
-        fails with the valid set before any work starts.
+        backend name is validated here too (``None`` is the default),
+        so an unknown backend fails with the valid set before any
+        work starts.
         """
-        get_backend(self.backend)
+        backend = validated_backend(self.backend)
         resolved = self
+        if backend != self.backend:
+            resolved = dataclasses.replace(resolved, backend=backend)
         if self.config_name != self.config_name.upper():
             resolved = dataclasses.replace(
                 resolved, config_name=self.config_name.upper())
@@ -275,7 +282,6 @@ def validated_sweep_specs(kernels=None, configs=None, variants=None,
                              f"choose from {sorted(valid)}")
     if seed is not None and seed < 0:
         raise ReproError(f"seed must be >= 0, got {seed}")
-    from repro.runtime.backends import validated_backend
     return sweep_specs(kernels=kernels, configs=configs,
                        variants=variants,
                        seed=DEFAULT_SEED if seed is None else seed,
@@ -290,7 +296,7 @@ def compute_point(spec):
     spec = spec.resolve()
     with trace.span("point", spec=spec.describe(),
                     backend=spec.backend) as active:
-        point = get_backend(spec.backend)(spec)
+        point = backend_point(spec)
         active.set(mapped=point.mapped,
                    cycles=point.cycles if point.mapped else None)
     return point

@@ -16,7 +16,9 @@ The :class:`JobManager` schedules jobs *concurrently*: up to
 draws a worker-process budget from one shared :class:`WorkerPool` —
 so a giant exploration can saturate the pool while a one-point probe
 submitted after it still starts immediately (with an inline budget)
-instead of starving behind it.  Every job executes through
+instead of starving behind it.  A sweep job runs through
+:func:`repro.runtime.pool.run_sweep`, the batch collector the CLI
+uses, and every job's points through
 :func:`repro.runtime.stream.stream_specs`, so the service inherits
 the runtime's whole contract for free: cache hits stream out first,
 crashes are captured per point, deterministic outcomes persist to
@@ -73,11 +75,7 @@ from repro.runtime.shard import (
     spec_to_json,
     sweep_json_payload,
 )
-from repro.runtime.sweep import (
-    SweepResult,
-    point_to_json,
-    validated_sweep_specs,
-)
+from repro.runtime.sweep import point_to_json, validated_sweep_specs
 
 _log = get_logger("repro.serve.jobs")
 
@@ -923,22 +921,19 @@ class JobManager:
 
     def _execute_sweep(self, job, workers):
         """Run one sweep job; its mergeable payload."""
-        from repro.runtime.stream import stream_specs
+        from repro.runtime.pool import run_sweep
 
         job.mark_running(workers_granted=workers)
         request = job.request
         fanout = {}
         for local, spec in enumerate(request.specs):
             fanout.setdefault(spec, []).append(local)
-        landed = {}
 
         def observe(update):
-            landed[update.spec] = update.point
             job.add_update(update,
                            [request.positions[i]
                             for i in fanout[update.spec]])
 
-        started = time.perf_counter()
         # Close the job span before _attach_trace drains the buffer —
         # a still-open span would miss the shipment and orphan every
         # child on the caller's side.
@@ -946,17 +941,11 @@ class JobManager:
             with trace.span("job", kind="sweep", job_id=job.id,
                             label=request.label,
                             points=len(request.specs)):
-                for _ in stream_specs(
-                        request.specs, workers=workers,
-                        cache=self.cache, progress=observe,
-                        mp_context=self._mp_context,
-                        point_timeout=self.point_timeout):
-                    pass
-        result = SweepResult(
-            specs=request.specs,
-            points=[landed[spec] for spec in request.specs],
-            cache_hits=job.cache_hits, computed=job.computed,
-            elapsed_seconds=time.perf_counter() - started)
+                result = run_sweep(
+                    request.specs, workers=workers,
+                    cache=self.cache, progress=observe,
+                    mp_context=self._mp_context,
+                    point_timeout=self.point_timeout)
         payload = sweep_json_payload(
             result, shard=request.shard,
             positions=request.positions,

@@ -227,24 +227,28 @@ class TestChromeRoundTrip:
             load_trace_file(foreign)
 
 
+def _record_sweep_trace(path):
+    """Record a one-point sweep's spans to ``path``."""
+    assert main(["sweep", "--kernels", "dc_filter", "--configs",
+                 "HOM64", "--variants", "basic", "--quiet",
+                 "--trace-out", str(path)]) == 0
+
+
 class TestCliAnalyze:
     def test_trace_analyze_from_file(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert main(["trace", "--kernels", "dc_filter",
-                     "--configs", "HOM64", "--variants", "basic",
-                     "--out", str(out), "--quiet"]) == 0
+        _record_sweep_trace(out)
         capsys.readouterr()
-        assert main(["trace", "--analyze", "--from", str(out)]) == 0
+        assert main(["trace", str(out)]) == 0
         text = capsys.readouterr().out
         assert "critical path" in text
         assert "sweep" in text
 
     def test_trace_analyze_json_payload(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert main(["trace", "--kernels", "dc_filter",
-                     "--configs", "HOM64", "--variants", "basic",
-                     "--out", str(out), "--analyze", "--json",
-                     "--quiet"]) == 0
+        _record_sweep_trace(out)
+        capsys.readouterr()
+        assert main(["trace", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "trace-analysis"
         assert payload["critical_path_us"] <= \
@@ -253,7 +257,6 @@ class TestCliAnalyze:
         assert ids  # non-empty path
 
     def test_missing_file_is_one_line_error(self, tmp_path, capsys):
-        assert main(["trace", "--analyze", "--from",
-                     str(tmp_path / "nope.json")]) == 1
+        assert main(["trace", str(tmp_path / "nope.json")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err

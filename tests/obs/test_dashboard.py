@@ -142,9 +142,9 @@ class TestCliReport:
     def test_report_folds_in_trace(self, tmp_path, capsys):
         self.seed_ledger()
         trace_file = tmp_path / "trace.json"
-        assert main(["trace", "--kernels", "dc_filter",
+        assert main(["sweep", "--kernels", "dc_filter",
                      "--configs", "HOM64", "--variants", "basic",
-                     "--out", str(trace_file), "--quiet"]) == 0
+                     "--trace-out", str(trace_file), "--quiet"]) == 0
         out = tmp_path / "dash.html"
         assert main(["report", "--out", str(out), "--trace",
                      str(trace_file), "--no-cache"]) == 0

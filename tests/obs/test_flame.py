@@ -108,33 +108,32 @@ class TestCollapsedOutput:
         assert text.index("hot") < text.index("cold")
 
     def test_render_empty_suggests_fix(self):
-        assert "raise --hz" in render_flame(Counter())
+        hint = render_flame(Counter())
+        assert "bench --repeat" in hint
+        assert "--hz" not in hint
 
 
 class TestCliFlame:
-    def test_profile_flame_renders_table(self, capsys):
-        assert main(["profile", "--kernel", "dc_filter",
-                     "--config", "HOM64", "--variant", "basic",
-                     "--hz", "600", "--repeat", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "flame: dc_filter@HOM64/basic" in out
-        assert "@ 600 Hz x 4 mapping(s)" in out
-        assert "sample" in out
+    #: Profiling one case: map it repeatedly under one sample (one
+    #: mapping is too fast to sample).
+    PROFILE_ARGS = ["bench", "--cases", "dc_filter@HOM64/basic",
+                    "--warmup", "0", "--repeat", "4", "--quiet"]
 
-    @pytest.mark.parametrize("repeat", ["0", "-1"])
-    def test_profile_repeat_below_one_is_refused(self, capsys,
-                                                 repeat):
-        assert main(["profile", "--kernel", "dc_filter",
-                     f"--repeat={repeat}"]) == 1
-        assert "--repeat must be at least 1" in capsys.readouterr().err
+    def test_profile_flame_renders_table(self, tmp_path, capsys):
+        target = tmp_path / "case.flame"
+        assert main(self.PROFILE_ARGS + ["--flame-out",
+                                         str(target)]) == 0
+        err = capsys.readouterr().err
+        assert f"stack sample(s) @ 97 Hz -> {target}" in err
+        assert "distinct stack(s)" in err
+        assert "self%  total%  samples  function" in err
+        assert "hottest stacks:" in err
 
     def test_profile_flame_out_writes_collapsed(self, tmp_path,
                                                 capsys):
         target = tmp_path / "case.flame"
-        assert main(["profile", "--kernel", "dc_filter",
-                     "--config", "HOM64", "--variant", "basic",
-                     "--hz", "600", "--repeat", "4",
-                     "--flame-out", str(target)]) == 0
+        assert main(self.PROFILE_ARGS + ["--flame-out",
+                                         str(target)]) == 0
         capsys.readouterr()
         lines = target.read_text().splitlines()
         # Collapsed format: "frame;frame;... count".

@@ -151,9 +151,3 @@ class TestCLI:
         assert stdout_doc["cases"][0]["case"] == "dc_filter@HOM32/basic"
         assert (file_doc["cases"][0]["case"]
                 == stdout_doc["cases"][0]["case"])
-
-    def test_profile_cli(self, capsys):
-        code = cli.main(["profile", "--kernel", "dc_filter",
-                         "--variant", "basic", "--top", "5"])
-        assert code == 0
-        assert "flame: dc_filter@HOM32/basic" in capsys.readouterr().out

@@ -1,24 +1,26 @@
-"""Unit tests for the execution-backend registry.
+"""Unit tests for the two execution backends' plumbing.
 
-The registry's contract: named, validated, cache-key-perturbing
-backends behind the one ``PointSpec -> ExperimentPoint`` signature.
-The differential *behaviour* of the two seed backends is covered by
+The contract: named, validated, cache-key-perturbing backends behind
+the one ``PointSpec -> ExperimentPoint`` signature.  The differential
+*behaviour* of the two backends is covered by
 ``tests/property/test_differential.py`` and the golden snapshots;
-here we test the plumbing — registration, lookup diagnostics, axis
+here we test the plumbing — name validation and its diagnostics, axis
 threading, cache keys and payload round-trips.
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.errors import ReproError
 from repro.runtime.backends import (
     BACKENDS,
     DEFAULT_BACKEND,
-    backend_names,
-    get_backend,
-    register_backend,
     validated_backend,
 )
 from repro.runtime.cache import point_key, spec_payload
@@ -40,22 +42,12 @@ SPEC = PointSpec("dc_filter", "HOM64", "basic")
 
 class TestRegistry:
     def test_both_seed_backends_registered(self):
-        assert backend_names() == ("analytic", "cycle")
+        assert BACKENDS == ("analytic", "cycle")
         assert DEFAULT_BACKEND == "analytic"
-
-    def test_lookup_returns_callable_backend(self):
-        backend = get_backend("cycle")
-        assert backend.name == "cycle"
-        assert callable(backend)
 
     def test_unknown_backend_names_the_valid_set(self):
         with pytest.raises(ReproError, match="analytic, cycle"):
-            get_backend("sat")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ReproError, match="already registered"):
-            register_backend("cycle")(lambda spec: None)
-        assert len(BACKENDS) == 2
+            validated_backend("sat")
 
     def test_validated_backend_defaults_none(self):
         assert validated_backend(None) == DEFAULT_BACKEND
@@ -68,6 +60,10 @@ class TestSpecAxis:
     def test_default_backend_on_plain_specs(self):
         assert SPEC.backend == DEFAULT_BACKEND
         assert SPEC.resolve().backend == DEFAULT_BACKEND
+
+    def test_resolve_fills_in_the_default_backend(self):
+        unnamed = dataclasses.replace(SPEC, backend=None)
+        assert unnamed.resolve() == SPEC.resolve()
 
     def test_resolve_validates_the_backend(self):
         bad = dataclasses.replace(SPEC, backend="typo")
@@ -122,6 +118,37 @@ class TestDispatch:
         # Identical outputs, measured cycles never above analytic.
         assert analytic.output_digest == cycle.output_digest
         assert cycle.cycles <= analytic.cycles
+
+    def test_each_backend_runs_its_own_engine(self, monkeypatch):
+        # One function serves both names; the differential checks
+        # above would still pass if both reached the same engine.
+        from repro.sim.cgra import CGRASimulator
+        from repro.sim.executor import CycleExecutor
+
+        ran = []
+        for name, engine in (("analytic", CGRASimulator),
+                             ("cycle", CycleExecutor)):
+            def run(self, _run=engine.run, _name=name):
+                ran.append(_name)
+                return _run(self)
+
+            monkeypatch.setattr(engine, "run", run)
+        for name in BACKENDS:
+            point = compute_point(dataclasses.replace(SPEC,
+                                                      backend=name))
+            assert point.mapped
+        assert ran == list(BACKENDS)
+
+    def test_importing_the_backends_loads_neither_engine(self):
+        probe = ("import sys, repro.runtime.backends; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m in ('repro.sim.cgra', 'repro.sim.executor')))")
+        source = pathlib.Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(source))
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
     def test_unmappable_outcome_is_backend_independent(self):
         # fft needs more context than an 8-word CM offers; both

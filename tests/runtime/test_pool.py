@@ -11,7 +11,7 @@ process computes it.
 from repro.mapping.flow import FlowOptions
 from repro.runtime import pool
 from repro.runtime.cache import ResultCache
-from repro.runtime.pool import run_specs, run_sweep
+from repro.runtime.pool import run_sweep
 from repro.runtime.sweep import PointSpec
 
 #: A small figure's worth of points: the dc_filter column of the
@@ -30,8 +30,8 @@ FIGURE_SPECS = [
 
 class TestEquivalence:
     def test_parallel_matches_serial_field_by_field(self, point_fields):
-        serial, _ = run_specs(FIGURE_SPECS, workers=1)
-        parallel, _ = run_specs(FIGURE_SPECS, workers=4)
+        serial = run_sweep(FIGURE_SPECS, workers=1).points
+        parallel = run_sweep(FIGURE_SPECS, workers=4).points
         assert len(serial) == len(parallel) == len(FIGURE_SPECS)
         for left, right in zip(serial, parallel):
             assert point_fields(left) == point_fields(right)
@@ -47,7 +47,7 @@ class TestExceptionCapture:
             PointSpec("no_such_kernel", "HOM64", "basic"),
             PointSpec("dc_filter", "HET1", "full"),
         ]
-        points, _ = run_specs(specs, workers=2)
+        points = run_sweep(specs, workers=2).points
         assert points[0].mapped
         assert points[2].mapped
         assert not points[1].mapped
@@ -57,13 +57,13 @@ class TestExceptionCapture:
         cache = ResultCache(tmp_path)
         specs = [PointSpec("no_such_kernel", "HOM64", "basic"),
                  PointSpec("dc_filter", "HOM64", "basic")]
-        run_specs(specs, workers=1, cache=cache)
+        run_sweep(specs, workers=1, cache=cache)
         # Only the deterministic outcome was persisted.
         assert len(cache.entries()) == 1
         warm = ResultCache(tmp_path)
-        points, hits = run_specs(specs, workers=1, cache=warm)
-        assert hits == 1
-        assert points[1].mapped
+        result = run_sweep(specs, workers=1, cache=warm)
+        assert result.cache_hits == 1
+        assert result.points[1].mapped
 
 
 class TestOrderingAndDedup:
@@ -73,7 +73,7 @@ class TestOrderingAndDedup:
             PointSpec("dc_filter", "HOM64", "basic"),
             PointSpec("dc_filter", "HET1", "basic"),
         ]
-        points, _ = run_specs(specs, workers=3)
+        points = run_sweep(specs, workers=3).points
         got = [(p.config_name, p.variant) for p in points]
         assert got == [("HET1", "full"), ("HOM64", "basic"),
                        ("HET1", "basic")]
@@ -88,7 +88,7 @@ class TestOrderingAndDedup:
 
         monkeypatch.setattr(pool, "_compute_captured", counting)
         spec = PointSpec("dc_filter", "HOM64", "basic")
-        points, _ = run_specs([spec, spec, spec], workers=1)
+        points = run_sweep([spec, spec, spec], workers=1).points
         assert len(calls) == 1
         assert points[0] is points[1] is points[2]
 
@@ -98,8 +98,8 @@ class TestCacheIntegration:
                                        point_fields):
         specs = FIGURE_SPECS[:3]
         cold = ResultCache(tmp_path)
-        cold_points, hits = run_specs(specs, workers=1, cache=cold)
-        assert hits == 0
+        cold_result = run_sweep(specs, workers=1, cache=cold)
+        assert cold_result.cache_hits == 0
         assert cold.stores == len(specs)
 
         def explode(_spec):  # pragma: no cover — must never run
@@ -107,9 +107,9 @@ class TestCacheIntegration:
 
         monkeypatch.setattr(pool, "_compute_captured", explode)
         warm = ResultCache(tmp_path)
-        warm_points, hits = run_specs(specs, workers=1, cache=warm)
-        assert hits == len(specs)
-        for left, right in zip(cold_points, warm_points):
+        warm_result = run_sweep(specs, workers=1, cache=warm)
+        assert warm_result.cache_hits == len(specs)
+        for left, right in zip(cold_result, warm_result):
             assert point_fields(left) == point_fields(right)
 
     def test_run_sweep_summary_counts(self, tmp_path):

@@ -9,7 +9,7 @@ exactly the points a blocking consumer would have seen.
 from repro.mapping.flow import FlowOptions
 from repro.runtime import pool
 from repro.runtime.cache import ResultCache
-from repro.runtime.pool import run_specs
+from repro.runtime.pool import run_sweep
 from repro.runtime.stream import StreamUpdate, stream_specs
 from repro.runtime.sweep import PointSpec
 
@@ -26,7 +26,7 @@ class TestEquivalence:
     def test_stream_matches_batch_field_by_field(self, point_fields):
         streamed = {spec: point
                     for spec, point in stream_specs(SPECS, workers=1)}
-        batch_points, _ = run_specs(SPECS, workers=1)
+        batch_points = run_sweep(SPECS, workers=1).points
         assert len(streamed) == len(SPECS)
         for spec, batch_point in zip([s.resolve() for s in SPECS],
                                      batch_points):

@@ -368,7 +368,11 @@ class TestUsageErrors:
         (["bench"], ["--reducer", "median"]),
         (["bench"], ["--window", "3"]),
         (["bench"], ["--max-regress", "10"]),
-        (["profile", "--kernel", "fir"], ["--flame"]),
+        # trace only analyses a saved file; sweep --trace-out records.
+        (["trace", "t.json"], ["--kernels", "fir"]),
+        (["trace", "t.json"], ["--workers", "2"]),
+        (["trace", "t.json"], ["--analyze"]),
+        (["trace", "t.json"], ["--from", "t.json"]),
     ]
 
     @pytest.mark.parametrize("command,retired", RETIRED,
@@ -379,6 +383,44 @@ class TestUsageErrors:
             main(command + retired)
         assert caught.value.code == 2
         assert f"unrecognized arguments: {' '.join(retired)}" \
+            in capsys.readouterr().err
+
+    def test_retired_profile_command_is_refused(self, capsys):
+        # bench --cases K@C/V --warmup 0 --flame-out FILE replaced it.
+        with pytest.raises(SystemExit) as caught:
+            main(["profile", "--kernel", "fir"])
+        assert caught.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
+
+    #: Abbreviations of kept flags: refused, so that a removed flag
+    #: which prefixes a kept one cannot live on as a hidden alias.
+    ABBREVIATED = [
+        ["sweep", "--flame", "s.txt"],
+        ["bench", "--flame", "b.txt"],
+        ["explore", "--strat", "exhaustive"],
+    ]
+
+    @pytest.mark.parametrize("argv", ABBREVIATED,
+                             ids=[" ".join(argv[:2])
+                                  for argv in ABBREVIATED])
+    def test_abbreviated_flag_is_refused(self, capsys, argv):
+        from repro.cli import _parser
+
+        with pytest.raises(SystemExit) as caught:
+            _parser().parse_args(argv)
+        assert caught.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,least", [("--repeat", "0", 1),
+                                                  ("--warmup", "-1", 0)],
+                             ids=["--repeat", "--warmup"])
+    def test_bench_count_below_its_floor_is_a_usage_error(
+            self, capsys, flag, value, least):
+        with pytest.raises(SystemExit) as caught:
+            main(["bench", f"{flag}={value}"])
+        assert caught.value.code == 2
+        assert f"{flag}: must be at least {least}, got {value}" \
             in capsys.readouterr().err
 
     def test_every_worker_pool_command_is_covered(self):
